@@ -895,23 +895,42 @@ class Coordinator
 
         // Brief grace for clean local exits, then SIGKILL the rest
         // (stalled or mid-simulation workers have nothing we still
-        // need).
+        // need). A worker holds the only write end of its result pipe,
+        // so its exit hangs the pipe up: the wait sleeps in poll() until
+        // that happens instead of re-checking on a timer. A hung-up
+        // worker's read end is closed, and the worker is re-checked
+        // every millisecond until it is reapable.
         const std::uint64_t grace_until = nowMs() + 200;
+        std::vector<struct pollfd> fds;
+        std::vector<Peer *> polled;
         for (;;) {
-            bool any_alive = false;
+            fds.clear();
+            polled.clear();
+            bool exiting = false; // hung up, not yet reapable
             for (Peer &p : _peers) {
                 if (!p.alive)
                     continue;
                 if (::waitpid(p.pid, nullptr, WNOHANG) == p.pid) {
                     p.io->close();
                     p.alive = false;
+                } else if (p.io->readFd() < 0) {
+                    exiting = true;
                 } else {
-                    any_alive = true;
+                    fds.push_back({p.io->readFd(), 0, 0});
+                    polled.push_back(&p);
                 }
             }
-            if (!any_alive || nowMs() >= grace_until)
+            const std::uint64_t now = nowMs();
+            if ((fds.empty() && !exiting) || now >= grace_until)
                 break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            const int timeout =
+                exiting ? 1 : static_cast<int>(grace_until - now);
+            if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                       timeout) <= 0)
+                continue;
+            for (std::size_t i = 0; i < fds.size(); ++i)
+                if (fds[i].revents & (POLLHUP | POLLERR))
+                    polled[i]->io->close();
         }
         for (Peer &p : _peers) {
             if (!p.alive)

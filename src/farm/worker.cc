@@ -1,8 +1,8 @@
 #include "farm/worker.hh"
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -348,20 +348,26 @@ serveSession(int rfd, int wfd, const SessionParams &params,
         }
 
         // Heartbeat while the simulation runs, so a long point is
-        // distinguishable from a dead worker.
-        std::atomic<bool> beat{true};
+        // distinguishable from a dead worker. The end of the simulation
+        // cuts the wait short, so the lease ends with it instead of on
+        // the next heartbeat tick. The mutex guards only the wait, never
+        // a send, so a slow heartbeat write cannot hold the stop back.
+        std::mutex beat_mutex;
+        std::condition_variable beat_cv;
+        bool beat_stop = false;
         std::thread heartbeat([&] {
-            while (beat.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(params.heartbeatMs));
-                if (!beat.load(std::memory_order_relaxed))
-                    break;
+            std::unique_lock<std::mutex> lock(beat_mutex);
+            while (!beat_cv.wait_for(
+                lock, std::chrono::milliseconds(params.heartbeatMs),
+                [&] { return beat_stop; })) {
+                lock.unlock();
                 try {
                     writer.send(FrameType::Heartbeat,
                                 encodeHeartbeat(lease.slot));
                 } catch (const SimException &) {
-                    break; // peer is gone; main loop will see EOF
+                    return; // peer is gone; main loop will see EOF
                 }
+                lock.lock();
             }
         });
 
@@ -434,7 +440,11 @@ serveSession(int rfd, int wfd, const SessionParams &params,
             sim_ok = false;
             sim_err = e.error();
         }
-        beat.store(false, std::memory_order_relaxed);
+        {
+            std::lock_guard<std::mutex> lock(beat_mutex);
+            beat_stop = true;
+        }
+        beat_cv.notify_one();
         heartbeat.join();
 
         if (!sim_ok) {

@@ -4,8 +4,9 @@
 #   check_farm_net.sh MODE IMO_FARM IMO_WORKER IMO_SWEEP OUTDIR
 #
 # Modes:
-#   basic              two remote workers, the second joining late;
-#                      merged report must be byte-identical to imo-sweep
+#   basic              two remote workers, the second joining late (the
+#                      farm may already be done by then); merged report
+#                      must be byte-identical to imo-sweep
 #   conn-drop          workers sever the connection mid-frame at random;
 #                      reconnect + lease retry must converge to the
 #                      identical report
@@ -44,12 +45,7 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-# Small grid; basic uses a slightly larger one so the late joiner still
-# finds work.
 grid="--workloads ora --machines inorder --modes N,S --lens 1 --scale 0.1"
-if [ "$mode" = "basic" ]; then
-    grid="--workloads ora --machines inorder --modes N,S --lens 1,10 --scale 0.1"
-fi
 
 wait_port() {
     i=0
@@ -77,16 +73,30 @@ basic)
     "$worker" --coordinator 127.0.0.1:"$port" --token "$token" \
         --retries 30 --quiet &
     W1_PID=$!
-    sleep 0.3 # the second worker joins an already-running farm
+    sleep 0.3
+    # The late joiner finds the farm running, finishing or gone, so it
+    # gets a short reconnect budget: it must either shut down cleanly
+    # or give up with a bounded WorkerLost.
     "$worker" --coordinator 127.0.0.1:"$port" --token "$token" \
-        --retries 30 --quiet &
+        --retries 3 --backoff-cap-ms 100 --quiet \
+        2>"$outdir/lateworker.log" &
     W2_PID=$!
     wait "$FARM_PID"
     FARM_PID=""
     wait "$W1_PID"
     W1_PID=""
+    set +e
     wait "$W2_PID"
+    late_status=$?
+    set -e
     W2_PID=""
+    if [ "$late_status" -ne 0 ] &&
+        ! { [ "$late_status" -eq 4 ] &&
+            grep -q "WorkerLost" "$outdir/lateworker.log"; }; then
+        echo "check_farm_net: late worker exited $late_status" >&2
+        cat "$outdir/lateworker.log" >&2
+        exit 1
+    fi
     cmp "$ref" "$out"
     ;;
 
