@@ -7,6 +7,7 @@
 #define IMO_FUNC_DATAMEM_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -35,14 +36,13 @@ class DataMemory
                      "unaligned 64-bit read at %#llx",
                      static_cast<unsigned long long>(addr));
         const Addr pg = pageOf(addr);
-        if (pg == _cachedPage) [[likely]]
-            return (*_cachedWords)[wordInPage(addr)];
+        if (std::uint64_t *words = cachedPage(pg)) [[likely]]
+            return words[wordInPage(addr)];
         auto it = _pages.find(pg);
         if (it == _pages.end())
             return 0;
-        _cachedPage = pg;
         // The map itself is non-const; only this accessor is const.
-        _cachedWords = const_cast<std::vector<std::uint64_t> *>(&it->second);
+        remember(pg, const_cast<std::vector<std::uint64_t> &>(it->second));
         return it->second[wordInPage(addr)];
     }
 
@@ -53,13 +53,12 @@ class DataMemory
                      "unaligned 64-bit write at %#llx",
                      static_cast<unsigned long long>(addr));
         const Addr pg = pageOf(addr);
-        if (pg == _cachedPage) [[likely]] {
-            (*_cachedWords)[wordInPage(addr)] = value;
+        if (std::uint64_t *words = cachedPage(pg)) [[likely]] {
+            words[wordInPage(addr)] = value;
             return;
         }
         std::vector<std::uint64_t> &words = page(addr);
-        _cachedPage = pg;
-        _cachedWords = &words;
+        remember(pg, words);
         words[wordInPage(addr)] = value;
     }
 
@@ -90,8 +89,7 @@ class DataMemory
     restore(Deserializer &d)
     {
         _pages.clear();
-        _cachedPage = kNoPage;
-        _cachedWords = nullptr;
+        _cached = {};
         const std::vector<Addr> order = d.vecU64Packed();
         for (std::size_t i = 0; i < order.size(); ++i) {
             sim_throw_if(i > 0 && order[i] <= order[i - 1],
@@ -126,16 +124,41 @@ class DataMemory
         return it->second;
     }
 
+    /** @return the words of page @p pg if cached, else nullptr. */
+    std::uint64_t *
+    cachedPage(Addr pg) const
+    {
+        if (pg == _cached[0].page)
+            return _cached[0].words;
+        if (pg == _cached[1].page)
+            return _cached[1].words;
+        return nullptr;
+    }
+
+    /** Cache page @p pg, replacing the older of the two entries. */
+    void
+    remember(Addr pg, std::vector<std::uint64_t> &words) const
+    {
+        _cached[_cacheVictim] = {pg, words.data()};
+        _cacheVictim ^= 1;
+    }
+
     std::unordered_map<Addr, std::vector<std::uint64_t>> _pages;
 
-    // One-entry page cache: spatial locality makes consecutive
-    // references overwhelmingly land on the same page, turning the
-    // per-reference hash lookup into a compare. Pointers to mapped
-    // values stay valid across rehashes, so only restore() (which
-    // clears the map) needs to drop the cache.
+    // Two-entry page cache: spatial locality makes consecutive
+    // references overwhelmingly land on one of a couple of pages (a
+    // loop streaming two arrays alternates between two), turning the
+    // per-reference hash lookup into a compare or two. Page vectors
+    // never resize and mapped values stay put across rehashes, so only
+    // restore() (which clears the map) needs to drop the cache.
     static constexpr Addr kNoPage = ~static_cast<Addr>(0);
-    mutable Addr _cachedPage = kNoPage;
-    mutable std::vector<std::uint64_t> *_cachedWords = nullptr;
+    struct CachedPage
+    {
+        Addr page = kNoPage;
+        std::uint64_t *words = nullptr;
+    };
+    mutable std::array<CachedPage, 2> _cached{};
+    mutable unsigned _cacheVictim = 0;
 };
 
 } // namespace imo::func

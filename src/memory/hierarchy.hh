@@ -30,23 +30,17 @@ class FunctionalHierarchy
      * Perform a demand reference and update both levels.
      * @return the level that serviced the reference.
      *
-     * Inline so the executor's per-reference call collapses into the
-     * L1 MRU-hit fast path of SetAssocCache::access.
+     * Forced inline so the executor's per-reference call collapses
+     * into the L1 MRU-hit fast path of SetAssocCache::access; the L2
+     * side stays out of line to keep the executor's step body small.
      */
-    MemLevel
+    [[gnu::always_inline]] MemLevel
     access(Addr addr, bool is_write)
     {
         const CacheAccessResult r1 = _l1.access(addr, is_write);
         if (r1.hit) [[likely]]
             return MemLevel::L1;
-
-        // L1 victim writebacks land in L2 (which already holds the
-        // line in an inclusive hierarchy; access keeps its LRU warm).
-        if (r1.writeback)
-            _l2.access(*r1.writeback, true);
-
-        const CacheAccessResult r2 = _l2.access(addr, is_write);
-        return r2.hit ? MemLevel::L2 : MemLevel::Memory;
+        return accessL2(addr, is_write, r1.writeback);
     }
 
     /** Software prefetch: pull the line into both levels. */
@@ -87,6 +81,10 @@ class FunctionalHierarchy
     }
 
   private:
+    /** The L1-miss remainder of access(). */
+    MemLevel accessL2(Addr addr, bool is_write,
+                      std::optional<Addr> l1_writeback);
+
     SetAssocCache _l1;
     SetAssocCache _l2;
 };

@@ -21,10 +21,9 @@ MultiCacheSim::L2Replay::L2Replay(const CacheGeometry &g)
     : lineShift(g.lineShift), setMask(g.setMask), assoc(g.assoc)
 {
     const std::size_t slots = (setMask + 1) * assoc;
-    tags.assign(slots, 0);
-    times.assign(slots, 0);
+    tags = std::make_unique_for_overwrite<Addr[]>(slots);
+    times = std::make_unique_for_overwrite<std::uint64_t[]>(slots);
     len.assign(setMask + 1, 0);
-    mru.assign(setMask + 1, 0);
     mruLa.assign(setMask + 1, ~0ull);
 }
 
@@ -40,7 +39,6 @@ MultiCacheSim::L2Replay::access(Addr addr)
     for (std::uint32_t i = 0; i < n; ++i) {
         if (tags[base + i] == la) {
             times[base + i] = ++clock;
-            mru[set] = i;
             mruLa[set] = la;
             return true;
         }
@@ -57,7 +55,6 @@ MultiCacheSim::L2Replay::access(Addr addr)
     }
     tags[base + slot] = la;
     times[base + slot] = ++clock;
-    mru[set] = slot;
     mruLa[set] = la;
     return false;
 }

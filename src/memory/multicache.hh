@@ -283,10 +283,13 @@ class MultiCacheSim
         std::uint32_t lineShift = 0;
         std::uint64_t setMask = 0;
         std::uint32_t assoc = 1;
-        std::vector<Addr> tags; //!< line addr per slot; [0, len) live
-        std::vector<std::uint64_t> times;
+        // Slots past a set's len are never read, so the two slot
+        // arrays start uninitialized: a 2 MiB L2 per config is tens of
+        // megabytes across a sweep, and zero-filling it would fault in
+        // every page up front while a run touches only a fraction.
+        std::unique_ptr<Addr[]> tags; //!< line addr per slot; [0, len) live
+        std::unique_ptr<std::uint64_t[]> times;
         std::vector<std::uint32_t> len;
-        std::vector<std::uint32_t> mru;
         std::vector<Addr> mruLa; //!< ~0 = none
         std::uint64_t clock = 0;
 

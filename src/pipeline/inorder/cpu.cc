@@ -146,6 +146,19 @@ InOrderCpu::restoreWarmState(Deserializer &d)
     _t->gshare.restore(d);
 }
 
+void
+InOrderCpu::copyWarmState(const InOrderCpu &from)
+{
+    panic_if(!_t || !from._t, "InOrderCpu::copyWarmState before reset()");
+    sim_throw_if(from._config.predictorEntries != _config.predictorEntries,
+                 ErrCode::BadConfig,
+                 "warm state of a %u-entry predictor cannot seed a "
+                 "%u-entry one", from._config.predictorEntries,
+                 _config.predictorEntries);
+    _t->bimodal = from._t->bimodal;
+    _t->gshare = from._t->gshare;
+}
+
 bool
 InOrderCpu::step(func::TraceSource &src)
 {

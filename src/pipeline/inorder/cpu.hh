@@ -108,6 +108,14 @@ class InOrderCpu
     void saveWarmState(Serializer &s) const;
     void restoreWarmState(Deserializer &d);
 
+    /**
+     * Seed this machine with @p from's warm state directly: the same
+     * state a saveWarmState()/restoreWarmState() round trip carries,
+     * without encoding it. For in-process windows that never need an
+     * image. Both machines must be reset and share a predictor size.
+     */
+    void copyWarmState(const InOrderCpu &from);
+
   private:
     struct Timing;
 

@@ -154,6 +154,19 @@ OooCpu::restoreWarmState(Deserializer &d)
     _t->gshare.restore(d);
 }
 
+void
+OooCpu::copyWarmState(const OooCpu &from)
+{
+    panic_if(!_t || !from._t, "OooCpu::copyWarmState before reset()");
+    sim_throw_if(from._config.predictorEntries != _config.predictorEntries,
+                 ErrCode::BadConfig,
+                 "warm state of a %u-entry predictor cannot seed a "
+                 "%u-entry one", from._config.predictorEntries,
+                 _config.predictorEntries);
+    _t->bimodal = from._t->bimodal;
+    _t->gshare = from._t->gshare;
+}
+
 bool
 OooCpu::step(func::TraceSource &src)
 {

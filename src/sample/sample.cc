@@ -302,7 +302,7 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
         // Interleaved mode: each window runs in place on the live
         // executor, on a fresh machine seeded with the accumulator's
         // warm state. The tee keeps the accumulator warm across the
-        // window span; no executor state is ever serialized.
+        // window span; no machine state is ever serialized.
         WarmingTraceSource<Cpu> tee(exec, accum);
         for (;;) {
             check_stop();
@@ -310,10 +310,9 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
                 break; // program halted inside the gap
             gap = U;
 
-            const std::vector<std::uint8_t> warm = makeWarmImage(accum);
             Cpu win(_config);
             win.reset();
-            restoreWarmImage(warm, win);
+            win.copyWarmState(accum);
 
             WindowSample ws;
             ws.warmed = stepWindow(win, tee, W);

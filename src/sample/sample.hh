@@ -278,8 +278,8 @@ class Sampler
      * halt-truncation handling, totals applied after the fold, one
      * pass. The estimate is byte-identical to a dedicated run()
      * because the shared pass replays each window on a fresh machine
-     * of this exact configuration, seeded with the same warm image the
-     * dedicated pass would have built.
+     * of this exact configuration, seeded with the same warm state the
+     * dedicated pass would have seeded it with.
      */
     SampleEstimate
     runFromSharedPass(const SharedPassTotals &totals,

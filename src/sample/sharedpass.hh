@@ -21,8 +21,8 @@
  *    same instructions as any dedicated run;
  *  - the warm accumulator only ever consumes conditional-branch
  *    outcomes, which are stream-invariant, and all members share one
- *    predictor geometry, so the per-boundary warm images are the very
- *    bytes a dedicated pass would build;
+ *    predictor geometry, so the per-boundary warm state is exactly
+ *    what a dedicated pass would seed its windows with;
  *  - a window's timing model consumes TraceRecords, whose only
  *    geometry-dependent field is `level`; the engine reproduces
  *    FunctionalHierarchy::access exactly (property-tested and

@@ -185,12 +185,39 @@ TEST(Container, HostileSectionCountIsRejected)
 }
 
 // ---------------------------------------------------------------------
-// DataMemory's one-entry page cache across restore.
+// DataMemory's two-entry page cache: values across page rotation and
+// across restore.
+
+TEST(DataMemory, PageCacheKeepsValuesAcrossPageRotation)
+{
+    // Three pages in rotation overflow the two cache entries on every
+    // step; two alternating pages (a loop streaming two arrays) hit.
+    func::DataMemory mem;
+    const Addr pages[3] = {0x1000, 0x9000, 0x40000};
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        const Addr a = pages[i % 3] + (i / 3) * 8;
+        mem.write64(a, i + 1);
+        EXPECT_EQ(mem.read64(pages[(i + 1) % 3] + 4088), 0u);
+    }
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        const Addr a = pages[i % 3] + (i / 3) * 8;
+        EXPECT_EQ(mem.read64(a), i + 1);
+        EXPECT_EQ(mem.read64(pages[i % 2]), i % 2 ? 2u : 1u);
+    }
+    // A read of a page never written allocates nothing and caches
+    // nothing: the next write to it must still allocate the page.
+    EXPECT_EQ(mem.read64(0x70000), 0u);
+    EXPECT_EQ(mem.residentPages(), 3u);
+    mem.write64(0x70000, 7);
+    EXPECT_EQ(mem.residentPages(), 4u);
+    EXPECT_EQ(mem.read64(0x70000), 7u);
+}
 
 TEST(DataMemory, RestoreDropsThePageCache)
 {
     func::DataMemory mem;
     mem.write64(0x1000, 111); // allocates page 1 and primes the cache
+    mem.write64(0x5000, 555); // fills the second cache entry
 
     Serializer s;
     s.beginSection("mem");
@@ -203,11 +230,13 @@ TEST(DataMemory, RestoreDropsThePageCache)
     // (or chase a dangling pointer into the cleared page map) on the
     // next read.
     mem.write64(0x1000, 222);
+    mem.write64(0x5000, 666);
     Deserializer d(image);
     d.openSection("mem");
     mem.restore(d);
     d.closeSection();
     EXPECT_EQ(mem.read64(0x1000), 111u);
+    EXPECT_EQ(mem.read64(0x5000), 555u);
 
     // Restoring an image with no pages at all must drop the cache too:
     // the next read sees zero-fill, not the old page contents.

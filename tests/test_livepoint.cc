@@ -11,7 +11,8 @@
  *  - replaying a library, running the windows on a thread pool, and
  *    folding externally produced window samples all reproduce the
  *    sequential sampler's estimate bit for bit;
- *  - captureDigest() ignores window-timing parameters and nothing else.
+ *  - captureDigest() ignores window-timing parameters and nothing else;
+ *  - copying a machine's warm state seeds the same state as an image.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "common/error.hh"
 #include "pipeline/config.hh"
 #include "pipeline/inorder/cpu.hh"
+#include "pipeline/ooo/cpu.hh"
 #include "sample/livepoint.hh"
 #include "sample/sample.hh"
 #include "workloads/suite.hh"
@@ -305,6 +307,58 @@ TEST(CaptureDigest, IgnoresWindowTimingParameters)
     pipeline::MachineConfig predictor = base;
     predictor.predictorEntries *= 2;
     EXPECT_NE(sample::captureDigest(predictor), digest);
+}
+
+// ------------------------------------------------------------ warm state
+
+/** Both ways of seeding a window machine carry the same warm state. */
+template <typename Cpu>
+void
+checkCopyMatchesImage(pipeline::MachineConfig cfg)
+{
+    for (const bool gshare : {false, true}) {
+        cfg.useGshare = gshare;
+        Cpu accum(cfg);
+        accum.reset();
+        std::mt19937 rng(gshare ? 7 : 3);
+        for (int i = 0; i < 5000; ++i)
+            accum.warmCondBranch(static_cast<InstAddr>(rng() % 4096),
+                                 rng() % 3 != 0);
+        const std::vector<std::uint8_t> image =
+            sample::makeWarmImage(accum);
+
+        Cpu copied(cfg);
+        copied.reset();
+        copied.copyWarmState(accum);
+        Cpu restored(cfg);
+        restored.reset();
+        sample::restoreWarmImage(image, restored);
+        EXPECT_EQ(sample::makeWarmImage(copied), image);
+        EXPECT_EQ(sample::makeWarmImage(restored), image);
+    }
+
+    // A warm state only seeds a machine of its own predictor size, as
+    // restoring an image of another size would refuse to.
+    pipeline::MachineConfig bigger = cfg;
+    bigger.predictorEntries *= 2;
+    Cpu accum(cfg);
+    accum.reset();
+    Cpu other(bigger);
+    other.reset();
+    try {
+        other.copyWarmState(accum);
+        FAIL() << "mismatched predictor sizes accepted";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.error().code, ErrCode::BadConfig);
+    }
+}
+
+TEST(WarmState, CopyMatchesImageRoundTrip)
+{
+    checkCopyMatchesImage<pipeline::InOrderCpu>(
+        pipeline::makeInOrderConfig());
+    checkCopyMatchesImage<pipeline::OooCpu>(
+        pipeline::makeOutOfOrderConfig());
 }
 
 // ----------------------------------------------- estimate bit-identity

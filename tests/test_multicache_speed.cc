@@ -53,20 +53,11 @@ TEST(MultiCacheSpeed, GeometrySweepSpeedupGate)
     ASSERT_GE(points.size(), 16u);
 
     using clock = std::chrono::steady_clock;
-    // Best-of-N: the minimum is the standard noise-robust estimator of
-    // a deterministic workload's true cost — an interfering background
-    // process inflates some repetitions but never deflates one.
-    const auto best_of = [](auto &&fn) {
-        double best = std::numeric_limits<double>::infinity();
-        for (int i = 0; i < 4; ++i) {
-            const auto t0 = clock::now();
-            fn();
-            const auto t1 = clock::now();
-            best = std::min(
-                best, std::chrono::duration<double, std::milli>(t1 - t0)
-                          .count());
-        }
-        return best;
+    const auto time_ms = [](auto &&fn) {
+        const auto t0 = clock::now();
+        fn();
+        const auto t1 = clock::now();
+        return std::chrono::duration<double, std::milli>(t1 - t0).count();
     };
     const auto report = [](const std::vector<sweep::SweepOutcome> &o) {
         std::ostringstream os;
@@ -74,19 +65,27 @@ TEST(MultiCacheSpeed, GeometrySweepSpeedupGate)
         return os.str();
     };
 
-    // Both sides single-threaded: the gate measures the algorithmic
-    // win, not pool scheduling.
+    // Best-of-N: the minimum is the standard noise-robust estimator of
+    // a deterministic workload's true cost — an interfering background
+    // process inflates some repetitions but never deflates one. The
+    // sides alternate run by run, so a load that comes and goes meets
+    // both alike. Both sides single-threaded: the gate measures the
+    // algorithmic win, not pool scheduling.
     std::vector<sweep::SweepOutcome> dedicated;
-    const double dedicated_ms =
-        best_of([&] { dedicated = sweep::runSweep(points, 1); });
-
     std::vector<sweep::SweepOutcome> shared;
     sweep::MultiCache mc;
-    const double shared_ms = best_of([&] {
-        mc = sweep::MultiCache{};
-        shared = sweep::runSweep(points, 1, nullptr, nullptr, nullptr,
-                                 nullptr, &mc);
-    });
+    double dedicated_ms = std::numeric_limits<double>::infinity();
+    double shared_ms = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 4; ++i) {
+        dedicated_ms = std::min(dedicated_ms, time_ms([&] {
+            dedicated = sweep::runSweep(points, 1);
+        }));
+        shared_ms = std::min(shared_ms, time_ms([&] {
+            mc = sweep::MultiCache{};
+            shared = sweep::runSweep(points, 1, nullptr, nullptr, nullptr,
+                                     nullptr, &mc);
+        }));
+    }
 
     EXPECT_EQ(report(shared), report(dedicated));
     ASSERT_EQ(mc.groups.size(), 1u);

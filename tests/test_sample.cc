@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <vector>
 
 #include "common/error.hh"
@@ -274,31 +275,36 @@ TEST(Sampler, AlvinnSpeedupGate)
         sample::SampleParams::parse("39989:300:300");
 
     using clock = std::chrono::steady_clock;
-    auto median5 = [](auto &&fn) {
-        std::vector<double> ms;
-        for (int i = 0; i < 5; ++i) {
-            const auto t0 = clock::now();
-            fn();
-            const auto t1 = clock::now();
-            ms.push_back(
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count());
-        }
+    const auto time_ms = [](auto &&fn) {
+        const auto t0 = clock::now();
+        fn();
+        const auto t1 = clock::now();
+        return std::chrono::duration<double, std::milli>(t1 - t0).count();
+    };
+    const auto median5 = [](std::vector<double> ms) {
         std::sort(ms.begin(), ms.end());
         return ms[2];
     };
 
+    // Median of 5 per side, the sides alternating run by run: a
+    // background load that comes and goes slows both alike instead of
+    // whichever side happened to be running.
     pipeline::RunResult full;
-    const double full_ms = median5(
-        [&] { full = pipeline::simulate(prog, cfg); });
-    ASSERT_TRUE(full.ok);
-
     sample::SampleEstimate est;
-    const double sampled_ms = median5([&] {
-        sample::Sampler sampler(prog, cfg, params);
-        est = sampler.run();
-    });
+    std::vector<double> full_runs;
+    std::vector<double> sampled_runs;
+    for (int i = 0; i < 5; ++i) {
+        full_runs.push_back(
+            time_ms([&] { full = pipeline::simulate(prog, cfg); }));
+        sampled_runs.push_back(time_ms([&] {
+            sample::Sampler sampler(prog, cfg, params);
+            est = sampler.run();
+        }));
+    }
+    ASSERT_TRUE(full.ok);
     ASSERT_TRUE(est.ok) << est.error.message;
+    const double full_ms = median5(full_runs);
+    const double sampled_ms = median5(sampled_runs);
 
     EXPECT_TRUE(est.cpiCiContains(fullCpi(full)))
         << est.cpiMean << " +/- " << est.cpiCi95 << " vs "
@@ -308,6 +314,8 @@ TEST(Sampler, AlvinnSpeedupGate)
         << fullMissRate(full);
 
     const double speedup = full_ms / sampled_ms;
+    std::printf("[ PERF ] full %.1f ms, sampled %.1f ms: %.2fx\n",
+                full_ms, sampled_ms, speedup);
     EXPECT_GE(speedup, 5.0)
         << "full " << full_ms << " ms vs sampled " << sampled_ms
         << " ms";

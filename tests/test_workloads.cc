@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "func/executor.hh"
 #include "pipeline/config.hh"
 #include "workloads/suite.hh"
@@ -122,6 +124,15 @@ struct MissRateBounds
     double oooLo, oooHi;   //!< L1 miss rate on the 32 KiB 2-way cache
     double inoLo, inoHi;   //!< L1 miss rate on the 8 KiB direct-mapped
 };
+
+// Without a printer gtest lists the parameter as its raw bytes, which
+// include the name's address: the listed test names, and the ctest
+// names discovered from them, would change from build to build.
+void
+PrintTo(const MissRateBounds &b, std::ostream *os)
+{
+    *os << b.name;
+}
 
 class MissRateTest : public ::testing::TestWithParam<MissRateBounds>
 {
