@@ -503,6 +503,10 @@ Deserializer::raw(void *out, std::size_t len)
                  "checkpoint section '%s' truncated: read of %zu bytes "
                  "at offset %zu exceeds %zu-byte payload",
                  s.name.c_str(), len, _cursor, s.length);
+    // An empty vector's data() may be null, and memcpy to null is
+    // undefined even for zero bytes.
+    if (len == 0)
+        return;
     std::memcpy(out, _image.data() + s.offset + _cursor, len);
     _cursor += len;
 }

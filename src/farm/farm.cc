@@ -1,5 +1,6 @@
 #include "farm/farm.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -24,6 +25,7 @@
 #include "farm/telemetry.hh"
 #include "farm/transport.hh"
 #include "farm/worker.hh"
+#include "sample/sharedpass.hh"
 #include "sweep/engine.hh"
 #include "workloads/suite.hh"
 
@@ -55,26 +57,17 @@ scheduleForSpawn(const FaultSchedule &base, std::uint64_t spawn_index)
 
 // --- Coordinator ----------------------------------------------------
 
-/** One unique content-addressed unit of work: a whole sweep point, or
- *  (window sharding) one measurement window of a sampled point. */
+/** One unique content-addressed unit of work: one farm Task. */
 struct Slot
 {
     PointKey key;
-    sweep::SweepPoint point;
-    std::string desc; //!< describePoint(), plus the window for shards
-
-    /** Window shard: which library point to ship with the lease.
-     *  library == nullptr marks a whole-point slot. */
+    /** The leased task. A Window task's images stay empty here: the
+     *  grant copies them from @ref library into the lease. */
+    Task task;
     std::shared_ptr<const sample::LivePointLibrary> library;
-    std::uint64_t windowIndex = LeaseMsg::noWindow;
+    std::string desc; //!< describeTask()
 
-    /** Multi-cache group slot: the members served by one shared-pass
-     *  lease (empty = a plain point or window slot). The fragment is
-     *  then an encodeFragmentBundle() of the members' fragments. */
-    std::vector<sweep::SweepPoint> groupPoints;
-    std::uint64_t groupConfigs = 0; //!< distinct (L1, L2) classes
-
-    std::vector<std::uint8_t> fragment;
+    std::vector<std::uint8_t> fragment; //!< the task's result bytes
     bool done = false;
     bool queued = false;       //!< sitting in the pending queue
     unsigned attempts = 0;     //!< failure-path leases granted
@@ -412,18 +405,13 @@ class Coordinator
         }
         LeaseMsg msg;
         msg.slot = slot;
-        msg.point = _slots[slot].point;
+        msg.task = _slots[slot].task;
         if (_slots[slot].library) {
-            // Window shard: ship the live point with the lease.
-            const Slot &s = _slots[slot];
-            msg.windowIndex = s.windowIndex;
-            msg.libraryHash = s.library->contentHash;
+            // Window task: ship the live point with the lease.
             const sample::LivePoint &lp =
-                s.library->points[s.windowIndex];
-            msg.warmImage = lp.warmImage;
-            msg.execImage = lp.execImage;
-        } else if (!_slots[slot].groupPoints.empty()) {
-            msg.groupPoints = _slots[slot].groupPoints;
+                _slots[slot].library->points[msg.task.windowIndex];
+            msg.task.warmImage = lp.warmImage;
+            msg.task.execImage = lp.execImage;
         }
         try {
             w.io->sendFrame(FrameType::Lease, encodeLease(msg));
@@ -1002,10 +990,23 @@ driveSlots(std::vector<Slot> slots, const FarmOptions &opt,
     res.stats.uniqueSlots = slots.size();
 
     FarmTelemetry tel(opt, farm_start);
-    for (std::size_t i = 0; i < slots.size(); ++i)
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        // Group provenance (members, distinct (L1, L2) classes) for
+        // multi-point tasks only, so the manifest's group table lists
+        // shared passes and nothing else.
+        const std::vector<sweep::SweepPoint> &members =
+            slots[i].task.points;
+        std::uint64_t configs = 0;
+        if (members.size() > 1) {
+            std::vector<pipeline::MachineConfig> cfgs;
+            for (const sweep::SweepPoint &p : members)
+                cfgs.push_back(p.resolveConfig());
+            configs = sample::geometryClasses(cfgs).size();
+        }
         tel.describeSlot(i, slots[i].key.hex(), slots[i].desc,
-                         slots[i].groupPoints.size(),
-                         slots[i].groupConfigs);
+                         members.size() > 1 ? members.size() : 0,
+                         configs);
+    }
 
     std::optional<ResultStore> store;
     if (!opt.storeDir.empty()) {
@@ -1083,145 +1084,98 @@ runFarm(const std::vector<sweep::SweepPoint> &points,
     res.runId = opt.runId;
     res.stats.points = points.size();
 
-    // Multi-cache planning first: every grouped point is served by its
-    // group's single shared-pass lease and skips per-point content
-    // addressing entirely. The plan is a pure function of the point
-    // list, so a resumed farm derives identical slots and keys.
-    std::vector<std::vector<std::size_t>> plan;
-    std::vector<long> group_of(points.size(), -1);
+    // Every point is a member of one Points task: its multi-cache
+    // group when multiCache plans one, else a task of its own. Tasks
+    // keep first-occurrence order, and the plan is a pure function of
+    // the point list, so a resumed farm derives identical tasks and
+    // keys.
+    std::vector<std::vector<std::size_t>> tasks;
     if (opt.multiCache) {
-        plan = sweep::planMultiCacheGroups(points);
-        for (std::size_t g = 0; g < plan.size(); ++g)
-            for (const std::size_t i : plan[g])
-                group_of[i] = static_cast<long>(g);
-        res.stats.multiCacheGroups = plan.size();
+        tasks = sweep::planMultiCacheGroups(points);
+        res.stats.multiCacheGroups = tasks.size();
     }
+    std::vector<bool> grouped(points.size(), false);
+    for (const std::vector<std::size_t> &members : tasks) {
+        res.stats.pointsGrouped += members.size();
+        for (const std::size_t i : members)
+            grouped[i] = true;
+    }
+    for (std::size_t i = 0; i < points.size(); ++i)
+        if (!grouped[i])
+            tasks.push_back({i});
+    std::sort(tasks.begin(), tasks.end(),
+              [](const auto &a, const auto &b) {
+                  return a.front() < b.front();
+              });
 
-    // Content addressing builds and instruments each point's program,
-    // which can rival a short simulation in cost — so first collapse
-    // structurally identical points (their wire encoding covers every
-    // field) and fingerprint only the distinct ones, in parallel
-    // across the worker budget.
-    std::vector<sweep::SweepPoint> distinct;
-    std::map<std::string, std::size_t> by_struct;
-    std::vector<std::size_t> struct_of(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (group_of[i] >= 0)
-            continue;
-        LeaseMsg probe;
-        probe.point = points[i];
-        const std::vector<std::uint8_t> enc = encodeLease(probe);
-        const auto [it, inserted] = by_struct.emplace(
-            std::string(enc.begin(), enc.end()), distinct.size());
-        if (inserted)
-            distinct.push_back(points[i]);
-        struct_of[i] = it->second;
-    }
-    std::vector<std::function<PointKey()>> key_tasks;
-    key_tasks.reserve(distinct.size() + plan.size());
-    for (const sweep::SweepPoint &p : distinct)
-        key_tasks.emplace_back([&p] { return keyForPoint(p); });
-    std::vector<std::vector<sweep::SweepPoint>> group_members(
-        plan.size());
-    for (std::size_t g = 0; g < plan.size(); ++g) {
-        for (const std::size_t i : plan[g])
-            group_members[g].push_back(points[i]);
-        const std::vector<sweep::SweepPoint> &m = group_members[g];
-        key_tasks.emplace_back([&m] { return keyForGroup(m); });
-    }
-    const std::vector<PointKey> keys =
-        sweep::runOrdered(key_tasks, std::max(1u, options.workers));
-
-    // Collapse content-identical points into unique slots: overlapping
-    // grids simulate once, and every input index maps to its slot.
+    // Structurally identical tasks (their lease encoding covers every
+    // keyed field) collapse into one slot, so overlapping grids
+    // simulate once; each point remembers its slot and its position
+    // in the slot's result bundle.
+    struct Seat
+    {
+        std::size_t slot = 0;
+        std::size_t member = 0;
+    };
+    std::vector<Seat> seats(points.size());
     std::vector<Slot> slots;
-    std::map<std::string, std::size_t> slot_by_key;
-    std::vector<std::size_t> slot_of(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (group_of[i] >= 0)
-            continue;
-        const PointKey &key = keys[struct_of[i]];
-        const auto [it, inserted] =
-            slot_by_key.emplace(key.hex(), slots.size());
-        if (inserted) {
+    std::map<std::string, std::size_t> slot_by_struct;
+    for (const std::vector<std::size_t> &members : tasks) {
+        Task task;
+        for (const std::size_t i : members)
+            task.points.push_back(points[i]);
+        const std::vector<std::uint8_t> enc =
+            encodeLease(LeaseMsg{0, task});
+        const auto [it, fresh] = slot_by_struct.emplace(
+            std::string(enc.begin(), enc.end()), slots.size());
+        if (fresh) {
             Slot s;
-            s.key = key;
-            s.point = points[i];
-            s.desc = sweep::describePoint(points[i]);
+            s.desc = describeTask(task);
+            s.task = std::move(task);
             slots.push_back(std::move(s));
         }
-        slot_of[i] = it->second;
+        for (std::size_t k = 0; k < members.size(); ++k)
+            seats[members[k]] = Seat{it->second, k};
     }
-    std::vector<std::size_t> group_slot(plan.size());
-    for (std::size_t g = 0; g < plan.size(); ++g) {
-        Slot s;
-        s.key = keys[distinct.size() + g];
-        s.point = group_members[g].front();
-        s.groupPoints = group_members[g];
-        // Same distinct-class count the shared pass derives, so the
-        // manifest's "configs" means one thing farm-wide.
-        for (const sweep::SweepPoint &p : s.groupPoints) {
-            const pipeline::MachineConfig cfg = p.resolveConfig();
-            bool fresh = true;
-            for (std::size_t j = 0; fresh && j < s.groupConfigs; ++j) {
-                const pipeline::MachineConfig other =
-                    s.groupPoints[j].resolveConfig();
-                fresh = !(other.l1.sizeBytes == cfg.l1.sizeBytes &&
-                          other.l1.lineBytes == cfg.l1.lineBytes &&
-                          other.l1.assoc == cfg.l1.assoc &&
-                          other.l2.sizeBytes == cfg.l2.sizeBytes &&
-                          other.l2.lineBytes == cfg.l2.lineBytes &&
-                          other.l2.assoc == cfg.l2.assoc);
-            }
-            if (fresh)
-                ++s.groupConfigs;
-        }
-        s.desc = simFormat(
-            "multi-cache group of %zu (%llu configs): %s",
-            s.groupPoints.size(),
-            static_cast<unsigned long long>(s.groupConfigs),
-            sweep::describePoint(s.point).c_str());
-        group_slot[g] = slots.size();
-        slots.push_back(std::move(s));
-        res.stats.pointsGrouped += plan[g].size();
-    }
+
+    // Content addressing builds and instruments each task's program,
+    // which can rival a short simulation in cost — so key the distinct
+    // slots in parallel across the worker budget.
+    std::vector<std::function<PointKey()>> key_tasks;
+    key_tasks.reserve(slots.size());
+    for (const Slot &s : slots)
+        key_tasks.emplace_back([&s] { return keyForTask(s.task); });
+    const std::vector<PointKey> keys =
+        sweep::runOrdered(key_tasks, std::max(1u, options.workers));
+    for (std::size_t k = 0; k < slots.size(); ++k)
+        slots[k].key = keys[k];
 
     slots = driveSlots(std::move(slots), opt, farm_start, res, stop);
+    if (!res.ok)
+        return res;
 
-    if (res.ok) {
-        // Split every group bundle back into member fragments before
-        // assembling the report, validating the member count against
-        // the plan (a short bundle is a protocol violation, not a
-        // retryable fault).
-        std::vector<std::vector<std::vector<std::uint8_t>>> split(
-            plan.size());
-        for (std::size_t g = 0; g < plan.size(); ++g) {
-            try {
-                split[g] = decodeFragmentBundle(
-                    slots[group_slot[g]].fragment);
-                sim_throw_if(split[g].size() != plan[g].size(),
-                             ErrCode::WorkerLost,
-                             "farm: multi-cache group bundle holds %zu "
-                             "fragments for %zu members",
-                             split[g].size(), plan[g].size());
-            } catch (const SimException &e) {
-                res.ok = false;
-                res.error = e.error();
-                return res;
-            }
+    // Split every result bundle back into member fragments, validating
+    // the member count against the task (a short bundle is a protocol
+    // violation, not a retryable fault).
+    std::vector<std::vector<std::vector<std::uint8_t>>> split(
+        slots.size());
+    try {
+        for (std::size_t k = 0; k < slots.size(); ++k) {
+            split[k] = decodeFragmentBundle(slots[k].fragment);
+            sim_throw_if(split[k].size() != slots[k].task.points.size(),
+                         ErrCode::WorkerLost,
+                         "farm: result bundle holds %zu fragments for "
+                         "%zu members",
+                         split[k].size(), slots[k].task.points.size());
         }
-        std::vector<std::size_t> member_pos(plan.size(), 0);
-        res.fragments.reserve(points.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (group_of[i] >= 0) {
-                const std::size_t g =
-                    static_cast<std::size_t>(group_of[i]);
-                res.fragments.push_back(split[g][member_pos[g]++]);
-            } else {
-                res.fragments.push_back(slots[slot_of[i]].fragment);
-            }
-        }
+    } catch (const SimException &e) {
+        res.ok = false;
+        res.error = e.error();
+        return res;
     }
+    res.fragments.reserve(points.size());
+    for (const Seat &seat : seats)
+        res.fragments.push_back(split[seat.slot][seat.member]);
     return res;
 }
 
@@ -1253,21 +1207,19 @@ runFarmWindows(const sweep::SweepPoint &point,
     res.runId = opt.runId;
     res.stats.points = library->points.size();
 
-    // One slot per measurement window; the lease ships the window's
-    // live point, so workers need neither the library file nor any
-    // shared filesystem.
-    const std::string desc = sweep::describePoint(point);
-    std::vector<Slot> slots;
-    slots.reserve(library->points.size());
-    for (std::size_t w = 0; w < library->points.size(); ++w) {
-        Slot s;
-        s.key = keyForWindow(point, library->contentHash, w);
-        s.point = point;
-        s.desc = simFormat("%s window %zu/%zu", desc.c_str(), w,
-                           library->points.size());
+    // One Window task per measurement window; the lease ships the
+    // window's live point, so workers need neither the library file
+    // nor any shared filesystem.
+    std::vector<Slot> slots(library->points.size());
+    for (std::size_t w = 0; w < slots.size(); ++w) {
+        Slot &s = slots[w];
+        s.task.kind = Task::Kind::Window;
+        s.task.points = {point};
+        s.task.windowIndex = w;
+        s.task.libraryHash = library->contentHash;
+        s.key = keyForTask(s.task);
+        s.desc = describeTask(s.task);
         s.library = library;
-        s.windowIndex = w;
-        slots.push_back(std::move(s));
     }
 
     slots = driveSlots(std::move(slots), opt, farm_start, res, stop);

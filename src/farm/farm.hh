@@ -8,8 +8,9 @@
  * framed protocol in proto.hh is identical on both — under a leasing
  * discipline:
  *
- *  - Points with identical content addresses (store.hh) collapse into
- *    one *slot*; overlapping grids are simulated once.
+ *  - Every point is a member of one farm Task (proto.hh): a task of
+ *    its own, or its multi-cache group's. Identical tasks collapse
+ *    into one *slot*; overlapping grids are simulated once.
  *  - A slot is leased to a worker with a deadline. Heartbeats refresh
  *    the deadline while the worker makes progress; a worker that
  *    crashes (EOF), stalls (deadline passes), or drops its result is
@@ -95,9 +96,9 @@ struct FarmOptions
 
     /** Single-pass multi-configuration cache simulation: sampled
      *  points differing only in cache geometry / timing knobs form
-     *  group leases — one worker classifies every member geometry in
-     *  one pass over the shared reference stream (sweep::MultiCache)
-     *  and returns a fragment bundle. Report bytes are unchanged. */
+     *  one multi-point task — one worker classifies every member
+     *  geometry in one pass over the shared reference stream
+     *  (sweep::MultiCache). Report bytes are unchanged. */
     bool multiCache = false;
 
     /** Lease deadline: a worker that neither heartbeats nor delivers
@@ -161,8 +162,8 @@ struct FarmStats
     std::uint64_t storeCorrupt = 0; //!< records failing key/CRC checks
     std::uint64_t authFailures = 0; //!< peers rejected at admission
     std::uint64_t remotesAdmitted = 0; //!< TCP peers through admission
-    std::uint64_t multiCacheGroups = 0; //!< group leases planned
-    std::uint64_t pointsGrouped = 0; //!< points served by group leases
+    std::uint64_t multiCacheGroups = 0; //!< multi-point tasks planned
+    std::uint64_t pointsGrouped = 0; //!< points in multi-point tasks
 };
 
 /** Per-unique-slot operational record of one farm run: attempt counts
@@ -171,7 +172,7 @@ struct FarmStats
 struct SlotRecord
 {
     std::string keyHex; //!< content address, "" without a store
-    std::string desc;   //!< describePoint() of the slot's point
+    std::string desc;   //!< describeTask() of the slot's task
     bool storeHit = false;
     bool done = false;
     std::uint32_t attempts = 0;    //!< lease grants (excl. stragglers)
@@ -182,8 +183,8 @@ struct SlotRecord
     std::uint64_t startMs = 0;     //!< first grant, ms since run start
     std::uint64_t endMs = 0;       //!< result accepted (or store hit)
     std::uint64_t fragmentBytes = 0;
-    /** Members of a multi-cache group slot (0 = a plain point or
-     *  window slot). Drives manifest group provenance. */
+    /** Members of a multi-point task (0 = a task of one point or a
+     *  window). Drives manifest group provenance. */
     std::uint64_t groupMembers = 0;
     std::uint64_t groupConfigs = 0; //!< distinct (L1, L2) classes
 };
@@ -224,8 +225,9 @@ FarmResult runFarm(const std::vector<sweep::SweepPoint> &points,
  * @p library becomes its own leased unit of work, so a single sampled
  * point spreads across all workers (and machines) of the farm. The
  * lease/retry/straggler/store machinery is exactly runFarm()'s —
- * window shards are memoized under keyForWindow(), duplicate shards
- * are byte-compared, and a resumed farm re-runs only missing windows.
+ * each window is a Window task memoized under keyForTask(), duplicate
+ * shards are byte-compared, and a resumed farm re-runs only missing
+ * windows.
  * On success the shards are folded in window order into the point's
  * estimate, and FarmResult::fragments holds the point's single
  * report-JSON fragment — byte-identical to imo-sweep over this point.

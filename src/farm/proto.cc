@@ -337,20 +337,35 @@ decodeHello(const std::vector<std::uint8_t> &payload)
     });
 }
 
+std::string
+describeTask(const Task &task)
+{
+    const std::string first = sweep::describePoint(task.points.front());
+    if (task.kind == Task::Kind::Window)
+        return simFormat("%s window %llu", first.c_str(),
+                         static_cast<unsigned long long>(
+                             task.windowIndex));
+    if (task.points.size() == 1)
+        return first;
+    return simFormat("multi-cache group of %zu: %s", task.points.size(),
+                     first.c_str());
+}
+
 std::vector<std::uint8_t>
 encodeLease(const LeaseMsg &msg)
 {
+    const Task &t = msg.task;
     Serializer s;
     s.beginSection("lease");
     s.u64(msg.slot);
-    savePoint(s, msg.point);
-    s.u64(msg.windowIndex);
-    s.u64(msg.libraryHash);
-    s.vecU8(msg.warmImage);
-    s.vecU8(msg.execImage);
-    s.u32(static_cast<std::uint32_t>(msg.groupPoints.size()));
-    for (const sweep::SweepPoint &p : msg.groupPoints)
+    s.u8(static_cast<std::uint8_t>(t.kind));
+    s.u32(static_cast<std::uint32_t>(t.points.size()));
+    for (const sweep::SweepPoint &p : t.points)
         savePoint(s, p);
+    s.u64(t.windowIndex);
+    s.u64(t.libraryHash);
+    s.vecU8(t.warmImage);
+    s.vecU8(t.execImage);
     s.endSection();
     return s.finish();
 }
@@ -362,17 +377,38 @@ decodeLease(const std::vector<std::uint8_t> &payload)
         Deserializer d(payload);
         d.openSection("lease");
         LeaseMsg msg;
+        Task &t = msg.task;
         msg.slot = d.u64();
-        msg.point = restorePoint(d);
-        msg.windowIndex = d.u64();
-        msg.libraryHash = d.u64();
-        msg.warmImage = d.vecU8();
-        msg.execImage = d.vecU8();
-        const std::uint32_t group = d.u32();
-        msg.groupPoints.reserve(group);
-        for (std::uint32_t i = 0; i < group; ++i)
-            msg.groupPoints.push_back(restorePoint(d));
+        const std::uint8_t kind = d.u8();
+        sim_throw_if(kind > static_cast<std::uint8_t>(Task::Kind::Window),
+                     ErrCode::WorkerLost, "unknown task kind %u", kind);
+        t.kind = static_cast<Task::Kind>(kind);
+        // No reserve(): n is unchecked wire input; a count the payload
+        // cannot hold fails inside restorePoint() instead.
+        const std::uint32_t n = d.u32();
+        for (std::uint32_t i = 0; i < n; ++i)
+            t.points.push_back(restorePoint(d));
+        t.windowIndex = d.u64();
+        t.libraryHash = d.u64();
+        t.warmImage = d.vecU8();
+        t.execImage = d.vecU8();
         d.closeSection();
+
+        if (t.kind == Task::Kind::Points) {
+            sim_throw_if(n == 0, ErrCode::WorkerLost,
+                         "points task without points");
+            sim_throw_if(t.windowIndex != 0 || t.libraryHash != 0 ||
+                             !t.warmImage.empty() ||
+                             !t.execImage.empty(),
+                         ErrCode::WorkerLost,
+                         "points task carries window fields");
+        } else {
+            sim_throw_if(n != 1, ErrCode::WorkerLost,
+                         "window task with %u points", n);
+            sim_throw_if(t.warmImage.empty() || t.execImage.empty(),
+                         ErrCode::WorkerLost,
+                         "window task without its live point");
+        }
         return msg;
     });
 }
@@ -513,9 +549,8 @@ decodeFragmentBundle(const std::vector<std::uint8_t> &bundle)
     return decodePayload("bundle", [&] {
         Deserializer d(bundle);
         d.openSection("bundle");
-        const std::uint32_t n = d.u32();
+        const std::uint32_t n = d.u32(); // unchecked: no reserve()
         std::vector<std::vector<std::uint8_t>> fragments;
-        fragments.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i)
             fragments.push_back(d.vecU8());
         d.closeSection();

@@ -49,15 +49,19 @@ namespace imo::farm
  *  v5: Lease optionally carries a multi-cache point group; the worker
  *      answers with a fragment bundle (one report fragment per
  *      member, produced by a single shared pass).
+ *  v6: Lease is {slot, Task}: one lease body for every kind of work.
+ *      A Points task (a whole point is a group of one) always answers
+ *      with a fragment bundle; a Window task answers with its
+ *      WindowSample encoding.
  */
-constexpr std::uint32_t protocolVersion = 5;
+constexpr std::uint32_t protocolVersion = 6;
 
 /** Wire message types. */
 enum class FrameType : std::uint32_t
 {
     Hello = 1,      //!< worker -> coordinator: challenge response,
                     //!< version report, ready for leases
-    Lease = 2,      //!< coordinator -> worker: run this point
+    Lease = 2,      //!< coordinator -> worker: run this task
     Heartbeat = 3,  //!< worker -> coordinator: still alive on a point
     Result = 4,     //!< worker -> coordinator: point finished
     Shutdown = 5,   //!< coordinator -> worker: exit cleanly
@@ -156,39 +160,57 @@ struct HelloMsg
 std::uint64_t authDigest(const std::string &token, std::uint64_t nonce);
 
 /**
- * Lease: which grid slot to run and the full point description.
+ * One unit of farm work — the body of every lease and the input of
+ * every store key.
  *
- * A lease is either a whole point (windowIndex == noWindow, the
- * images empty) or one measurement window of a sampled point: the
- * worker then rebuilds the point's program and config, restores the
- * shipped live point, runs the W+M detailed window, and returns the
- * fixed-width WindowSample encoding as its fragment. The library
- * content hash pins which capture the images came from (it is part of
- * the result-store key, so shards of different captures never mix).
+ *  - Points: one or more sweep points run by sweep::runPointGroup().
+ *    A whole point is a Points task of one member; two or more
+ *    members share one multi-cache pass. The Result is always a
+ *    fragment bundle: one report-JSON fragment per member, in member
+ *    order.
+ *  - Window: one measurement window of a sampled point. The worker
+ *    rebuilds the point's program and config, restores the shipped
+ *    live point (warm and executor images), runs the W+M detailed
+ *    window, and returns the fixed-width WindowSample encoding. The
+ *    library content hash pins which capture the images came from, so
+ *    shards of different captures never share a store record.
  */
-struct LeaseMsg
+struct Task
 {
-    /** windowIndex value marking a whole-point lease. */
-    static constexpr std::uint64_t noWindow =
-        ~static_cast<std::uint64_t>(0);
+    enum class Kind : std::uint8_t
+    {
+        Points = 0,
+        Window = 1,
+    };
 
-    std::uint64_t slot = 0;
-    sweep::SweepPoint point;
+    Kind kind = Kind::Points;
+    /** Points: the members (at least one). Window: exactly the one
+     *  point the window belongs to. */
+    std::vector<sweep::SweepPoint> points;
 
-    std::uint64_t windowIndex = noWindow;
-    std::uint64_t libraryHash = 0;         //!< LivePointLibrary::contentHash
-    std::vector<std::uint8_t> warmImage;   //!< predictor warm state
-    std::vector<std::uint8_t> execImage;   //!< functional executor state
+    // Window only.
+    std::uint64_t windowIndex = 0;
+    std::uint64_t libraryHash = 0;       //!< LivePointLibrary::contentHash
+    std::vector<std::uint8_t> warmImage; //!< predictor warm state
+    std::vector<std::uint8_t> execImage; //!< functional executor state
 
-    /** Multi-cache group lease (v5): when nonempty, the worker runs
-     *  sweep::runPointGroup() over these members (point is then the
-     *  first member, kept for logs) and its Result fragment is a
-     *  fragment *bundle* — encodeFragmentBundle() of one report-JSON
-     *  fragment per member, in member order. */
-    std::vector<sweep::SweepPoint> groupPoints;
+    bool operator==(const Task &o) const = default;
 };
 
-/** Result: the slot and the point's report-JSON fragment bytes. */
+/** One line naming @p task (which has at least one point, as every
+ *  decoded lease's task does), shared by worker logs and the
+ *  coordinator's slot records. */
+std::string describeTask(const Task &task);
+
+/** Lease: which slot to run, and the task itself. */
+struct LeaseMsg
+{
+    std::uint64_t slot = 0;
+    Task task;
+};
+
+/** Result: the slot and the task's result bytes (a fragment bundle
+ *  for a Points task, a WindowSample encoding for a Window task). */
 struct ResultMsg
 {
     std::uint64_t slot = 0;
@@ -205,14 +227,14 @@ struct ErrorMsg
     SimError error;
 };
 
-/** Stats: one point's worker-side telemetry, sent immediately before
+/** Stats: one task's worker-side telemetry, sent immediately before
  *  the matching Result. Purely observational — a coordinator may drop
  *  it without affecting the merged report. */
 struct StatsMsg
 {
     std::uint64_t slot = 0;
-    std::uint64_t simulateMs = 0;  //!< wall time in sweep::runPoint
-    std::uint64_t serializeMs = 0; //!< wall time serializing the fragment
+    std::uint64_t simulateMs = 0;  //!< wall time running the task
+    std::uint64_t serializeMs = 0; //!< wall time serializing the result
     std::string statsJson;         //!< per-point stats dump, may be empty
 };
 
@@ -222,6 +244,9 @@ ChallengeMsg decodeChallenge(const std::vector<std::uint8_t> &payload);
 std::vector<std::uint8_t> encodeHello(const HelloMsg &msg);
 HelloMsg decodeHello(const std::vector<std::uint8_t> &payload);
 
+/** A decoded lease is a well-formed task: a Points task with no
+ *  members or with window fields, and a Window task with other than
+ *  one point or with an empty image, are rejected as WorkerLost. */
 std::vector<std::uint8_t> encodeLease(const LeaseMsg &msg);
 LeaseMsg decodeLease(const std::vector<std::uint8_t> &payload);
 
@@ -237,10 +262,10 @@ ErrorMsg decodeError(const std::vector<std::uint8_t> &payload);
 std::vector<std::uint8_t> encodeStats(const StatsMsg &msg);
 StatsMsg decodeStats(const std::vector<std::uint8_t> &payload);
 
-/** Fragment bundle: the Result payload of a multi-cache group lease —
- *  every member's report-JSON fragment, in member order, in one
- *  length-checked container. Also the store record format of a group
- *  slot, so memoized group results split identically. */
+/** Fragment bundle: the Result payload of a Points task — every
+ *  member's report-JSON fragment, in member order, in one
+ *  length-checked container. Also the store record of a Points slot,
+ *  so memoized results split identically. */
 std::vector<std::uint8_t>
 encodeFragmentBundle(const std::vector<std::vector<std::uint8_t>> &fragments);
 std::vector<std::vector<std::uint8_t>>

@@ -97,73 +97,44 @@ mixPoint(Fnv64 &cfg, const sweep::SweepPoint &point)
 } // anonymous namespace
 
 PointKey
+keyForTask(const Task &task)
+{
+    sim_throw_if(task.points.empty(), ErrCode::BadConfig,
+                 "result store: cannot key a task without points");
+    PointKey key;
+    Fnv64 cfg;
+    // Domain tag of the v6 task records. Records written under earlier
+    // formats (a raw point fragment, not a bundle) never match it.
+    cfg.str("farm-task");
+    cfg.u32(static_cast<std::uint32_t>(task.kind));
+    cfg.u64(task.points.size());
+    for (const sweep::SweepPoint &p : task.points)
+        mixPoint(cfg, p);
+
+    if (task.kind == Task::Kind::Window) {
+        cfg.u64(task.windowIndex);
+        key.programHash = task.libraryHash;
+    } else {
+        const sweep::SweepPoint &p = task.points.front();
+        workloads::WorkloadParams wp;
+        wp.scale = p.scale;
+        wp.seed = p.seed;
+        const isa::Program base = workloads::build(p.workload, wp);
+        key.programHash =
+            core::instrument(base, p.mode, {.length = p.handlerLen})
+                .fingerprint();
+    }
+    key.configHash = cfg.value();
+    key.schemaVersion = sweep::reportSchemaVersion;
+    return key;
+}
+
+PointKey
 keyForPoint(const sweep::SweepPoint &point)
 {
-    PointKey key;
-
-    Fnv64 cfg;
-    mixPoint(cfg, point);
-    key.configHash = cfg.value();
-
-    // Fingerprint the *instrumented* program: any change to a workload
-    // generator, the instrumenter, or the handler library changes the
-    // address and invalidates cached results for exactly the affected
-    // points.
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program base = workloads::build(point.workload, wp);
-    const isa::Program prog =
-        core::instrument(base, point.mode, {.length = point.handlerLen});
-    key.programHash = prog.fingerprint();
-
-    key.schemaVersion = sweep::reportSchemaVersion;
-    return key;
-}
-
-PointKey
-keyForGroup(const std::vector<sweep::SweepPoint> &members)
-{
-    sim_throw_if(members.empty(), ErrCode::BadConfig,
-                 "result store: cannot key an empty point group");
-    PointKey key;
-    Fnv64 cfg;
-    cfg.str("multicache-group"); // domain tag: never aliases a point
-    cfg.u64(members.size());
-    for (const sweep::SweepPoint &p : members)
-        mixPoint(cfg, p);
-    key.configHash = cfg.value();
-
-    // Members agree on workload/mode/handlerLen/scale/seed (the
-    // multi-cache grouping key), so the shared program fingerprints
-    // once for the whole group.
-    workloads::WorkloadParams wp;
-    wp.scale = members.front().scale;
-    wp.seed = members.front().seed;
-    const isa::Program base =
-        workloads::build(members.front().workload, wp);
-    const isa::Program prog =
-        core::instrument(base, members.front().mode,
-                         {.length = members.front().handlerLen});
-    key.programHash = prog.fingerprint();
-
-    key.schemaVersion = sweep::reportSchemaVersion;
-    return key;
-}
-
-PointKey
-keyForWindow(const sweep::SweepPoint &point, std::uint64_t libraryHash,
-             std::uint64_t windowIndex)
-{
-    PointKey key;
-    Fnv64 cfg;
-    cfg.str("window"); // domain tag: never aliases a whole-point key
-    mixPoint(cfg, point);
-    cfg.u64(windowIndex);
-    key.configHash = cfg.value();
-    key.programHash = libraryHash;
-    key.schemaVersion = sweep::reportSchemaVersion;
-    return key;
+    Task task;
+    task.points = {point};
+    return keyForTask(task);
 }
 
 ResultStore::ResultStore(std::string dir, bool allowExisting)

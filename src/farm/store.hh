@@ -3,27 +3,24 @@
  * Content-addressed, memoized result store for sweep points.
  *
  * Sweep reports are byte-identical by construction (the per-point JSON
- * fragment is a pure function of the SweepPoint), so a finished point
- * can be cached and replayed verbatim. A record is keyed by
+ * fragment is a pure function of the SweepPoint), so a finished farm
+ * task (proto.hh) can be cached and replayed verbatim. A record is
+ * keyed by
  *
- *   (config hash, program fingerprint, report-schema version)
+ *   (config hash, program hash, report-schema version)
  *
- * where the config hash digests every SweepPoint field that selects
- * machine behavior, the program fingerprint is the instrumented
- * program's order-sensitive digest (isa::Program::fingerprint(), so a
- * workload-generator change invalidates cached results), and the
- * schema version pins the report format. Repeated or overlapping
- * sweeps — the common case for a shared service — become store hits
- * instead of simulations, and an interrupted farm resumes from the
- * records already on disk.
+ * (keyForTask() says what each component digests per task kind).
+ * Repeated or overlapping sweeps — the common case for a shared
+ * service — become store hits instead of simulations, and an
+ * interrupted farm resumes from the records already on disk.
  *
  * Each record is one file, <dir>/<40-hex-key>.imores, holding a
  * checkpoint container (src/common/checkpoint.*) with a "key" section
  * (the three key components, verified on read) and a "fragment"
- * section (the exact report bytes). The container's per-section CRC
- * is the integrity layer: a flipped bit anywhere surfaces as a
+ * section (the task's exact result bytes). The container's per-section
+ * CRC is the integrity layer: a flipped bit anywhere surfaces as a
  * structured StoreCorrupt condition, the record is quarantined to
- * <name>.bad, and the point is re-simulated — corruption can cost a
+ * <name>.bad, and the task is re-simulated — corruption can cost a
  * simulation, never a wrong report.
  */
 
@@ -34,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "farm/proto.hh"
 #include "sweep/sweep.hh"
 
 namespace imo::farm
@@ -53,35 +51,28 @@ struct PointKey
 };
 
 /**
- * Compute the content address of @p point. Builds and instruments the
- * point's program to fingerprint the actual instruction stream; the
- * result depends only on the point (and the binary's workload
+ * Compute the content address of @p task. The config hash digests the
+ * task kind and every member point in order (plus the window index of
+ * a Window task) under one domain tag. The program hash is:
+ *
+ *  - Points: the fingerprint of the instrumented program, built once
+ *    from the first member — members of a multi-point task share it
+ *    by the multi-cache grouping key. A workload-generator change thus
+ *    invalidates exactly the affected records.
+ *  - Window: the library's content hash, which already pins the
+ *    program fingerprint, the capture digest and the U:W:M schedule,
+ *    so shards of different captures never share a record. No
+ *    program is built.
+ *
+ * The result depends only on the task (and the binary's workload
  * generators), never on wall clock or host.
- * Throws SimException(BadConfig/BadProgram) for an invalid point.
+ * Throws SimException(BadConfig/BadProgram) for an invalid task.
  */
+PointKey keyForTask(const Task &task);
+
+/** keyForTask() of the one-point Points task: the key runFarm()
+ *  stores a whole point under. */
 PointKey keyForPoint(const sweep::SweepPoint &point);
-
-/**
- * Content address of one live-point window shard. The config hash
- * digests the point plus the window index (under a distinct domain
- * tag, so a window record can never alias a whole-point record), and
- * the program-hash component carries the library's content hash — the
- * library image already pins the program fingerprint, the capture
- * digest, and the U:W:M schedule, so shards of different captures
- * land under different keys. Cheap: no program is built.
- */
-PointKey keyForWindow(const sweep::SweepPoint &point,
-                      std::uint64_t libraryHash,
-                      std::uint64_t windowIndex);
-
-/**
- * Content address of one multi-cache group slot. The config hash
- * digests every member point under a distinct domain tag (a group
- * record — a fragment bundle — can never alias a whole-point record);
- * the program hash fingerprints the shared instrumented program, which
- * every member agrees on by the grouping key. Builds the program once.
- */
-PointKey keyForGroup(const std::vector<sweep::SweepPoint> &members);
 
 /** Outcome of a store lookup. */
 enum class StoreGet : std::uint8_t

@@ -175,7 +175,7 @@ hangUntilPeerGone(int rfd, const volatile std::sig_atomic_t *stop)
 }
 
 /**
- * Executes window leases, caching the expensive per-point setup — the
+ * Executes Window tasks, caching the expensive per-point setup — the
  * instrumented program, machine config, and the executor inside the
  * WindowRunner — across consecutive leases of the same sweep point.
  * The coordinator shards one capture's windows across workers, so a
@@ -192,13 +192,13 @@ class WindowLeaseRunner
 {
   public:
     sample::WindowSample
-    run(const LeaseMsg &lease)
+    run(const Task &task)
     {
-        if (!_ready || !(lease.point == _point))
-            rebuild(lease.point);
+        if (!_ready || !(task.points.front() == _point))
+            rebuild(task.points.front());
         sample::LivePoint point;
-        point.warmImage = lease.warmImage;
-        point.execImage = lease.execImage;
+        point.warmImage = task.warmImage;
+        point.execImage = task.execImage;
         return _cfg.outOfOrder
                    ? _ooo->run(point, _sp.warmup, _sp.measure)
                    : _inorder->run(point, _sp.warmup, _sp.measure);
@@ -236,6 +236,61 @@ class WindowLeaseRunner
     std::optional<sample::WindowRunner<pipeline::OooCpu>> _ooo;
     std::optional<sample::WindowRunner<pipeline::InOrderCpu>> _inorder;
 };
+
+/** A finished task: its Result bytes and its Stats frame. */
+struct TaskOutput
+{
+    std::vector<std::uint8_t> bytes;
+    StatsMsg stats;
+};
+
+/**
+ * Run one task. A Points task answers with a fragment bundle (one
+ * report fragment per member); a Window task answers with the
+ * fixed-width WindowSample encoding, which the coordinator folds into
+ * the point's estimate itself. The stats carry simulated cycles and
+ * instructions (zeros for a sampled point, whose result is an
+ * estimate); the result bytes stay the only source of truth for the
+ * merged report.
+ */
+TaskOutput
+runTask(const Task &task, WindowLeaseRunner &windows)
+{
+    TaskOutput out;
+    std::uint64_t cycles = 0, instructions = 0;
+    const std::uint64_t t0 = steadyMs();
+    std::uint64_t t1 = t0;
+    if (task.kind == Task::Kind::Window) {
+        const sample::WindowSample ws = windows.run(task);
+        t1 = steadyMs();
+        const std::string text = sample::encodeWindowSample(ws);
+        out.bytes.assign(text.begin(), text.end());
+        cycles = ws.cycles;
+        instructions = ws.measured;
+    } else {
+        const std::vector<sweep::SweepOutcome> outcomes =
+            sweep::runPointGroup(task.points);
+        t1 = steadyMs();
+        std::vector<std::vector<std::uint8_t>> frags;
+        frags.reserve(outcomes.size());
+        for (const sweep::SweepOutcome &o : outcomes) {
+            std::ostringstream one;
+            sweep::writePointJson(one, o);
+            const std::string text = one.str();
+            frags.emplace_back(text.begin(), text.end());
+            cycles += o.result.cycles;
+            instructions += o.result.instructions;
+        }
+        out.bytes = encodeFragmentBundle(frags);
+    }
+    out.stats.simulateMs = t1 - t0;
+    out.stats.serializeMs = steadyMs() - t1;
+    out.stats.statsJson = simFormat(
+        "{\"cycles\":%llu,\"instructions\":%llu}",
+        static_cast<unsigned long long>(cycles),
+        static_cast<unsigned long long>(instructions));
+    return out;
+}
 
 } // anonymous namespace
 
@@ -322,20 +377,7 @@ serveSession(int rfd, int wfd, const SessionParams &params,
         if (admitted)
             *admitted = true;
         const LeaseMsg lease = decodeLease(frame.payload);
-        const bool is_window = lease.windowIndex != LeaseMsg::noWindow;
-        const bool is_group = !lease.groupPoints.empty();
-        event("lease", lease.slot,
-              is_window
-                  ? simFormat("%s window %llu",
-                              sweep::describePoint(lease.point).c_str(),
-                              static_cast<unsigned long long>(
-                                  lease.windowIndex))
-                  : (is_group
-                         ? simFormat(
-                               "multi-cache group of %zu: %s",
-                               lease.groupPoints.size(),
-                               sweep::describePoint(lease.point).c_str())
-                         : sweep::describePoint(lease.point)));
+        event("lease", lease.slot, describeTask(lease.task));
 
         if (inject.fire(FaultPoint::WorkerKill)) {
             // Crash / preemption: die without a word mid-lease.
@@ -371,71 +413,11 @@ serveSession(int rfd, int wfd, const SessionParams &params,
             }
         });
 
-        std::ostringstream fragment;
-        std::vector<std::uint8_t> bundle;
+        TaskOutput output;
         bool sim_ok = true;
         SimError sim_err;
-        StatsMsg point_stats;
-        point_stats.slot = lease.slot;
         try {
-            if (is_group) {
-                // Multi-cache group: one shared pass classifies every
-                // member geometry; the fragment is a bundle of the
-                // members' report fragments, split by the coordinator.
-                const std::uint64_t t0 = steadyMs();
-                const std::vector<sweep::SweepOutcome> outcomes =
-                    sweep::runPointGroup(lease.groupPoints);
-                const std::uint64_t t1 = steadyMs();
-                std::vector<std::vector<std::uint8_t>> frags;
-                frags.reserve(outcomes.size());
-                for (const sweep::SweepOutcome &o : outcomes) {
-                    std::ostringstream one;
-                    sweep::writePointJson(one, o);
-                    const std::string text = one.str();
-                    frags.emplace_back(text.begin(), text.end());
-                }
-                bundle = encodeFragmentBundle(frags);
-                const std::uint64_t t2 = steadyMs();
-                point_stats.simulateMs = t1 - t0;
-                point_stats.serializeMs = t2 - t1;
-                point_stats.statsJson = simFormat(
-                    "{\"cycles\":0,\"instructions\":0}");
-            } else if (is_window) {
-                // Window shard: the fragment is the fixed-width
-                // WindowSample encoding, not report JSON — the
-                // coordinator folds the shards into the point's
-                // estimate itself.
-                const std::uint64_t t0 = steadyMs();
-                const sample::WindowSample ws =
-                    window_runner.run(lease);
-                const std::uint64_t t1 = steadyMs();
-                fragment << sample::encodeWindowSample(ws);
-                point_stats.simulateMs = t1 - t0;
-                point_stats.serializeMs = 0;
-                point_stats.statsJson = simFormat(
-                    "{\"cycles\":%llu,\"instructions\":%llu}",
-                    static_cast<unsigned long long>(ws.cycles),
-                    static_cast<unsigned long long>(ws.measured));
-            } else {
-                const std::uint64_t t0 = steadyMs();
-                const sweep::SweepOutcome outcome =
-                    sweep::runPoint(lease.point);
-                const std::uint64_t t1 = steadyMs();
-                sweep::writePointJson(fragment, outcome);
-                const std::uint64_t t2 = steadyMs();
-                point_stats.simulateMs = t1 - t0;
-                point_stats.serializeMs = t2 - t1;
-                // Compact per-point stats for farm-level aggregation
-                // (zeros for a sampled point, whose result is an
-                // estimate). The report fragment stays the only source
-                // of truth for the merged report.
-                point_stats.statsJson = simFormat(
-                    "{\"cycles\":%llu,\"instructions\":%llu}",
-                    static_cast<unsigned long long>(
-                        outcome.result.cycles),
-                    static_cast<unsigned long long>(
-                        outcome.result.instructions));
-            }
+            output = runTask(lease.task, window_runner);
         } catch (const SimException &e) {
             sim_ok = false;
             sim_err = e.error();
@@ -475,21 +457,18 @@ serveSession(int rfd, int wfd, const SessionParams &params,
         // result, so the coordinator attributes them to this lease.
         // Protocol v2 coordinators never see this frame (the version
         // handshake rejects the session first).
-        writer.send(FrameType::Stats, encodeStats(point_stats));
+        output.stats.slot = lease.slot;
+        writer.send(FrameType::Stats, encodeStats(output.stats));
 
         ResultMsg result;
         result.slot = lease.slot;
-        const std::string &text = fragment.str();
-        if (is_group)
-            result.fragment = std::move(bundle);
-        else
-            result.fragment.assign(text.begin(), text.end());
+        result.fragment = std::move(output.bytes);
         writer.send(FrameType::Result, encodeResult(result));
         event("result", lease.slot,
               simFormat("%zu bytes, %llu ms simulate",
                         result.fragment.size(),
                         static_cast<unsigned long long>(
-                            point_stats.simulateMs)));
+                            output.stats.simulateMs)));
     }
 }
 

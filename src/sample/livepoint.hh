@@ -83,9 +83,12 @@ struct LivePoint
     std::vector<std::uint8_t> execImage; //!< functional executor
 };
 
-/** Exact functional totals of the capture pass (the executor runs the
- *  whole program, so these are not estimates). */
-struct CaptureTotals
+/** Exact functional totals of one configuration's whole program run:
+ *  a capture pass's executor, or a shared multi-configuration pass
+ *  (sample/sharedpass.hh) where instruction, reference and trap counts
+ *  are geometry-invariant and l1Misses is the member's own classified
+ *  count. Not estimates. */
+struct ExactTotals
 {
     std::uint64_t instructions = 0;
     std::uint64_t dataRefs = 0;
@@ -106,7 +109,7 @@ struct LivePointLibrary
     std::uint64_t warmup = 0;
     std::uint64_t measure = 0;
 
-    CaptureTotals totals;
+    ExactTotals totals;
     std::vector<LivePoint> points;
 
     /** FNV-1a of the serialized image; identifies the library contents

@@ -351,8 +351,8 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
                 break; // halted inside the window span
         }
         const func::ExecStats &cs = exec.stats();
-        lib->totals = CaptureTotals{cs.instructions, cs.dataRefs,
-                                    cs.l1Misses, cs.traps};
+        lib->totals = ExactTotals{cs.instructions, cs.dataRefs,
+                                  cs.l1Misses, cs.traps};
         if (pass == 0) {
             if (!_captureOut.empty())
                 writeLibraryFile(_captureOut, *lib);
@@ -489,8 +489,9 @@ Sampler::validateLibrary(const char *kind) const
                  _params.spec().c_str());
 }
 
+template <typename Body>
 SampleEstimate
-Sampler::run(const pipeline::SimulateOptions &options)
+Sampler::guarded(Body &&body)
 {
     resetAccumulators();
 
@@ -498,7 +499,21 @@ Sampler::run(const pipeline::SimulateOptions &options)
         _params.validate();
         _config.validate();
         isa::verifyProgram(_program);
+        body();
+    } catch (const SimException &e) {
+        _est.ok = false;
+        _est.error = e.error();
+    } catch (const std::exception &e) {
+        _est.ok = false;
+        _est.error = SimError{ErrCode::Internal, e.what(), {}};
+    }
+    return _est;
+}
 
+SampleEstimate
+Sampler::run(const pipeline::SimulateOptions &options)
+{
+    return guarded([&] {
         if (_library) {
             sim_throw_if(_params.targetRelErr > 0.0, ErrCode::BadConfig,
                          "error-targeted extension re-runs the "
@@ -525,25 +540,13 @@ Sampler::run(const pipeline::SimulateOptions &options)
 
         finishEstimate();
         xcheckAgainstFull();
-    } catch (const SimException &e) {
-        _est.ok = false;
-        _est.error = e.error();
-    } catch (const std::exception &e) {
-        _est.ok = false;
-        _est.error = SimError{ErrCode::Internal, e.what(), {}};
-    }
-    return _est;
+    });
 }
 
 SampleEstimate
 Sampler::runFromWindowSamples(const std::vector<WindowSample> &samples)
 {
-    resetAccumulators();
-
-    try {
-        _params.validate();
-        _config.validate();
-        isa::verifyProgram(_program);
+    return guarded([&] {
         sim_throw_if(!_library, ErrCode::BadConfig,
                      "runFromWindowSamples needs setLibrary(): the "
                      "samples are meaningless without the library "
@@ -553,61 +556,34 @@ Sampler::runFromWindowSamples(const std::vector<WindowSample> &samples)
                      ErrCode::BadConfig,
                      "%zu window samples for a %zu-window library",
                      samples.size(), _library->points.size());
-
-        _est.instructions = _library->totals.instructions;
-        _est.dataRefs = _library->totals.dataRefs;
-        _est.l1Misses = _library->totals.l1Misses;
-        _est.traps = _library->totals.traps;
-        _est.passes = 1;
-
-        foldWindowSamples(samples, nullptr);
-        finishEstimate();
-        xcheckAgainstFull();
-    } catch (const SimException &e) {
-        _est.ok = false;
-        _est.error = e.error();
-    } catch (const std::exception &e) {
-        _est.ok = false;
-        _est.error = SimError{ErrCode::Internal, e.what(), {}};
-    }
-    return _est;
+        foldExternal(_library->totals, samples);
+    });
 }
 
 SampleEstimate
-Sampler::runFromSharedPass(const SharedPassTotals &totals,
+Sampler::runFromSharedPass(const ExactTotals &totals,
                            const std::vector<WindowSample> &samples)
 {
-    resetAccumulators();
+    return guarded([&] { foldExternal(totals, samples); });
+}
 
-    try {
-        _params.validate();
-        _config.validate();
-        isa::verifyProgram(_program);
+void
+Sampler::foldExternal(const ExactTotals &totals,
+                      const std::vector<WindowSample> &samples)
+{
+    // Mirror the interleaved pass exactly: fold in window order and
+    // stop at the first truncated window (program halt). foldWindow()
+    // never reads the totals, so they may be applied in any order.
+    foldWindowSamples(samples, nullptr);
 
-        // Mirror the interleaved pass exactly: fold in window order,
-        // stop at the first truncated window (program halt), and set
-        // the exact totals only after the fold — the same ordering
-        // runPass() uses, so even degenerate runs match byte-for-byte.
-        for (const WindowSample &ws : samples)
-            if (!foldWindow(ws))
-                break;
+    _est.instructions = totals.instructions;
+    _est.dataRefs = totals.dataRefs;
+    _est.l1Misses = totals.l1Misses;
+    _est.traps = totals.traps;
+    _est.passes = 1;
 
-        _est.instructions = totals.instructions;
-        _est.dataRefs = totals.dataRefs;
-        _est.l1Misses = totals.l1Misses;
-        _est.traps = totals.traps;
-        _est.passes = 1;
-
-        finishEstimate();
-        xcheckAgainstFull();
-    } catch (const SimException &e) {
-        _est.ok = false;
-        _est.error = e.error();
-    } catch (const std::exception &e) {
-        _est.ok = false;
-        _est.error = SimError{ErrCode::Internal, e.what(), {}};
-    }
-    return _est;
+    finishEstimate();
+    xcheckAgainstFull();
 }
 
 void

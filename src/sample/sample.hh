@@ -114,19 +114,6 @@ struct SampleParams
                                const std::string &workload);
 };
 
-/** Exact functional totals of one configuration, as produced by a
- *  shared multi-configuration reference pass (sample/sharedpass.hh):
- *  instruction, reference and trap counts are geometry-invariant for
- *  an eligible program, while l1Misses is the per-config count the
- *  multicache engine classified. */
-struct SharedPassTotals
-{
-    std::uint64_t instructions = 0;
-    std::uint64_t dataRefs = 0;
-    std::uint64_t l1Misses = 0;
-    std::uint64_t traps = 0;
-};
-
 /** The sampled estimate: exact functional totals plus interval
  *  estimates of the timing-only quantities. */
 struct SampleEstimate
@@ -266,7 +253,8 @@ class Sampler
      * Fold externally produced window samples (a farm's shards) into
      * an estimate, exactly as run() would have folded locally executed
      * windows. Requires setLibrary(); @p samples must hold one entry
-     * per library point, in window order.
+     * per library point, in window order. After those checks it is
+     * runFromSharedPass() under the library's exact totals.
      */
     SampleEstimate
     runFromWindowSamples(const std::vector<WindowSample> &samples);
@@ -282,7 +270,7 @@ class Sampler
      * dedicated pass would have seeded it with.
      */
     SampleEstimate
-    runFromSharedPass(const SharedPassTotals &totals,
+    runFromSharedPass(const ExactTotals &totals,
                       const std::vector<WindowSample> &samples);
 
     /** Estimate from the most recent run() (empty before). */
@@ -309,6 +297,18 @@ class Sampler
     template <typename Cpu>
     void runWindows(const std::vector<LivePoint> &points,
                     const pipeline::SimulateOptions &options);
+
+    /** Reset the accumulators, validate schedule, config and
+     *  program, then run @p body; any failure becomes the estimate's
+     *  structured error. @return the estimate. */
+    template <typename Body>
+    SampleEstimate guarded(Body &&body);
+
+    /** The one fold of externally run windows (farm shards, shared
+     *  passes): fold @p samples in window order, apply the exact
+     *  @p totals as a single pass, and finish the estimate. */
+    void foldExternal(const ExactTotals &totals,
+                      const std::vector<WindowSample> &samples);
 
     /** Fold @p samples in window order; @p completed (when non-null)
      *  marks slots skipped by a cooperative stop. */

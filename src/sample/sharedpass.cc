@@ -98,28 +98,11 @@ runSharedPassImpl(const isa::Program &program,
                   const std::vector<pipeline::MachineConfig> &members,
                   const SampleParams &params)
 {
-    // Dedupe classification work: members sharing an (L1, L2) geometry
-    // pair share one engine config (they differ in latency/MSHR knobs
-    // only, which the per-member window replay applies).
-    std::vector<memory::MultiCacheConfig> classCfgs;
-    std::vector<std::size_t> classOf(members.size());
-    for (std::size_t m = 0; m < members.size(); ++m) {
-        const pipeline::MachineConfig &cfg = members[m];
-        std::size_t k = 0;
-        for (; k < classCfgs.size(); ++k) {
-            const memory::MultiCacheConfig &cc = classCfgs[k];
-            if (cc.l1.sizeBytes == cfg.l1.sizeBytes &&
-                cc.l1.lineBytes == cfg.l1.lineBytes &&
-                cc.l1.assoc == cfg.l1.assoc &&
-                cc.l2.sizeBytes == cfg.l2.sizeBytes &&
-                cc.l2.lineBytes == cfg.l2.lineBytes &&
-                cc.l2.assoc == cfg.l2.assoc)
-                break;
-        }
-        if (k == classCfgs.size())
-            classCfgs.push_back({cfg.l1, cfg.l2});
-        classOf[m] = k;
-    }
+    // Dedupe classification work: the per-member window replay applies
+    // the latency/MSHR knobs, so one engine config serves each class.
+    std::vector<std::size_t> classOf;
+    const std::vector<memory::MultiCacheConfig> classCfgs =
+        geometryClasses(members, &classOf);
 
     memory::MultiCacheSim engine(classCfgs);
     EngineSink sink(engine);
@@ -215,7 +198,7 @@ runSharedPassImpl(const isa::Program &program,
 
     const func::ExecStats &es = exec.stats();
     for (std::size_t m = 0; m < members.size(); ++m) {
-        res.totals[m] = SharedPassTotals{
+        res.totals[m] = ExactTotals{
             .instructions = es.instructions,
             .dataRefs = es.dataRefs,
             .l1Misses = engine.l1Misses(classOf[m]),
@@ -228,6 +211,32 @@ runSharedPassImpl(const isa::Program &program,
 }
 
 } // namespace
+
+std::vector<memory::MultiCacheConfig>
+geometryClasses(const std::vector<pipeline::MachineConfig> &members,
+                std::vector<std::size_t> *classOf)
+{
+    const auto same = [](const memory::CacheGeometry &a,
+                         const memory::CacheGeometry &b) {
+        return a.sizeBytes == b.sizeBytes && a.lineBytes == b.lineBytes &&
+               a.assoc == b.assoc;
+    };
+    std::vector<memory::MultiCacheConfig> classes;
+    if (classOf)
+        classOf->assign(members.size(), 0);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        const pipeline::MachineConfig &cfg = members[m];
+        std::size_t k = 0;
+        while (k < classes.size() && !(same(classes[k].l1, cfg.l1) &&
+                                       same(classes[k].l2, cfg.l2)))
+            ++k;
+        if (k == classes.size())
+            classes.push_back({cfg.l1, cfg.l2});
+        if (classOf)
+            (*classOf)[m] = k;
+    }
+    return classes;
+}
 
 bool
 sharedPassEligible(const isa::Program &program)

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "memory/multicache.hh"
 #include "pipeline/config.hh"
 #include "sample/sample.hh"
 
@@ -53,7 +54,7 @@ struct SharedPassResult
     /** samples[m] holds member m's windows in schedule order. */
     std::vector<std::vector<WindowSample>> samples;
     /** totals[m]: exact functional totals under member m's geometry. */
-    std::vector<SharedPassTotals> totals;
+    std::vector<ExactTotals> totals;
     std::uint64_t configs = 0;      //!< distinct (L1, L2) classes served
     std::uint64_t streamLength = 0; //!< demand references classified
     std::uint64_t prefetches = 0;   //!< prefetches observed
@@ -69,6 +70,16 @@ struct SharedPassResult
  * instrumented programs fail this; mode-None programs pass.
  */
 bool sharedPassEligible(const isa::Program &program);
+
+/**
+ * The distinct (L1, L2) geometry pairs of @p members, in first-
+ * occurrence order: members sharing both cache shapes differ only in
+ * latency and MSHR knobs, so they share one classification config.
+ * @p classOf (optional) receives each member's class index.
+ */
+std::vector<memory::MultiCacheConfig>
+geometryClasses(const std::vector<pipeline::MachineConfig> &members,
+                std::vector<std::size_t> *classOf = nullptr);
 
 /**
  * Run the shared pass. All @p members must share the machine kind,

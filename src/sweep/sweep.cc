@@ -227,6 +227,8 @@ runPointGroup(const std::vector<SweepPoint> &members,
 {
     sim_throw_if(members.empty(), ErrCode::BadConfig,
                  "multi-cache group: no members");
+    if (members.size() == 1)
+        return {runPoint(members[0])};
     const SweepPoint &p0 = members[0];
     for (const SweepPoint &p : members) {
         sim_throw_if(p.machine != p0.machine ||
@@ -241,30 +243,44 @@ runPointGroup(const std::vector<SweepPoint> &members,
                      describePoint(p0).c_str());
     }
 
-    const isa::Program prog = buildProgram(p0);
-    const sample::SampleParams params =
-        sample::SampleParams::parse(p0.sample);
-    std::vector<pipeline::MachineConfig> cfgs;
-    cfgs.reserve(members.size());
-    for (const SweepPoint &p : members)
-        cfgs.push_back(p.resolveConfig());
-
-    const sample::SharedPassResult shared =
-        sample::runSharedGeometryPass(prog, cfgs, params);
-
     std::vector<SweepOutcome> outs(members.size());
-    for (std::size_t m = 0; m < members.size(); ++m) {
-        outs[m].point = members[m];
-        sample::Sampler sampler(prog, cfgs[m], params);
-        outs[m].estimate = sampler.runFromSharedPass(
-            shared.totals[m], shared.samples[m]);
-    }
-    if (prov) {
-        prov->configs = shared.configs;
-        prov->streamLength = shared.streamLength;
-        prov->prefetches = shared.prefetches;
-        prov->windows = shared.windows;
-        prov->shared = true;
+    try {
+        const isa::Program prog = buildProgram(p0);
+        const sample::SampleParams params =
+            sample::SampleParams::parse(p0.sample);
+        std::vector<pipeline::MachineConfig> cfgs;
+        cfgs.reserve(members.size());
+        for (const SweepPoint &p : members)
+            cfgs.push_back(p.resolveConfig());
+
+        const sample::SharedPassResult shared =
+            sample::runSharedGeometryPass(prog, cfgs, params);
+
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            outs[m].point = members[m];
+            sample::Sampler sampler(prog, cfgs[m], params);
+            outs[m].estimate = sampler.runFromSharedPass(
+                shared.totals[m], shared.samples[m]);
+        }
+        if (prov) {
+            prov->configs = shared.configs;
+            prov->streamLength = shared.streamLength;
+            prov->prefetches = shared.prefetches;
+            prov->windows = shared.windows;
+            prov->shared = true;
+        }
+    } catch (const SimException &e) {
+        // The shared pass refused the group (an ineligible program, a
+        // runaway past the instruction budget, ...): run each member
+        // on its dedicated path, which reports its own failure in its
+        // fragment. An Internal error (an IMO_PARANOID_XCHECK
+        // divergence) stays loud.
+        if (e.code() == ErrCode::Internal)
+            throw;
+        for (std::size_t m = 0; m < members.size(); ++m)
+            outs[m] = runPoint(members[m]);
+        if (prov)
+            prov->shared = false;
     }
     return outs;
 }
@@ -404,11 +420,8 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
             });
     };
 
-    // One task per multi-cache group. A group whose shared pass is
-    // refused (BadConfig — e.g. the plan was computed for a different
-    // build of the planner) falls back to dedicated per-member runs
-    // inside the same task; anything else (notably an
-    // IMO_PARANOID_XCHECK divergence, ErrCode::Internal) stays loud.
+    // One task per multi-cache group; runPointGroup() itself falls back
+    // to dedicated per-member runs when the shared pass is refused.
     const auto makeGroupTask = [&](std::size_t g) {
         std::vector<SweepPoint> mem;
         mem.reserve(mcGroups[g].size());
@@ -421,17 +434,7 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
             const std::uint64_t t0 = steady_ms();
             const std::uint64_t tid = std::hash<std::thread::id>{}(
                 std::this_thread::get_id());
-            std::vector<SweepOutcome> outs;
-            try {
-                outs = runPointGroup(mem, prov);
-            } catch (const SimException &e) {
-                if (e.code() != ErrCode::BadConfig)
-                    throw;
-                outs.clear();
-                for (const SweepPoint &p : mem)
-                    outs.push_back(runPoint(p));
-                prov->shared = false;
-            }
+            std::vector<SweepOutcome> outs = runPointGroup(mem, prov);
             const std::uint64_t t1 = steady_ms();
             for (std::size_t k = 0; k < idx.size(); ++k) {
                 outcomes[idx[k]] = std::move(outs[k]);

@@ -195,14 +195,17 @@ std::vector<std::vector<std::size_t>>
 planMultiCacheGroups(const std::vector<SweepPoint> &points);
 
 /**
- * Run one multi-cache group: build the shared program once, classify
- * the reference stream for every member geometry in a single pass, and
- * fold each member's windows into its estimate. @p members must agree
- * on every non-geometry input (the planner's grouping key) — throws
- * SimException(BadConfig) otherwise, or when the program is not
- * eligible; runSweep falls back to dedicated runPoint() calls in that
- * case. Outcomes are byte-identical to runPoint() per member. This is
- * the unit of work a farm worker executes for a group lease.
+ * Run a list of points as one unit of work: build the shared program
+ * once, classify the reference stream for every member geometry in a
+ * single pass, and fold each member's windows into its estimate. A
+ * one-member list is just runPoint(). @p members must agree on every
+ * non-geometry input (the planner's grouping key) — throws
+ * SimException(BadConfig) otherwise. When the shared pass itself
+ * fails (an ineligible program, a runaway past the instruction
+ * budget, ...) every member runs on its dedicated runPoint() path and
+ * @p prov records shared = false; only ErrCode::Internal propagates.
+ * Outcomes are byte-identical to runPoint() per member. This is the
+ * unit of work a farm worker executes for a Points task.
  */
 std::vector<SweepOutcome>
 runPointGroup(const std::vector<SweepPoint> &members,

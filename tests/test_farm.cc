@@ -11,7 +11,9 @@
  *    with duplicate input points collapsed, and with a second run
  *    served entirely from the memoized store.
  *  - Wire protocol: FrameParser reassembly at every fragmentation
- *    boundary, and the authDigest admission keying.
+ *    boundary, the authDigest admission keying, the lease codec
+ *    (every task shape round-trips, malformed tasks are garbage), and
+ *    v5 peers refused at admission.
  *  - TCP farms: in-process imo-worker sessions over loopback sockets —
  *    report identity, late joins, token rejection (AuthFailed), the
  *    min-workers fail-fast, and the three network fault points.
@@ -33,12 +35,14 @@
 
 #include <unistd.h>
 
+#include "common/checkpoint.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "farm/farm.hh"
 #include "obs/trace.hh"
 #include "farm/proto.hh"
 #include "farm/store.hh"
+#include "farm/transport.hh"
 #include "farm/worker.hh"
 #include "sample/livepoint.hh"
 #include "sweep/sweep.hh"
@@ -592,21 +596,64 @@ TEST(FarmMultiCache, SecondRunIsServedFromStore)
 
 TEST(FarmMultiCache, GroupKeyIsOrderAndMembershipSensitive)
 {
+    const auto groupKey = [](const std::vector<sweep::SweepPoint> &m) {
+        farm::Task task;
+        task.points = m;
+        return farm::keyForTask(task).hex();
+    };
     const std::vector<sweep::SweepPoint> pts = geometryPoints();
-    const farm::PointKey whole = farm::keyForGroup(pts);
-    EXPECT_EQ(whole.hex(), farm::keyForGroup(pts).hex());
+    const std::string whole = groupKey(pts);
+    EXPECT_EQ(whole, groupKey(pts));
 
     std::vector<sweep::SweepPoint> fewer(pts.begin(), pts.end() - 1);
-    EXPECT_NE(whole.hex(), farm::keyForGroup(fewer).hex());
+    EXPECT_NE(whole, groupKey(fewer));
 
     std::vector<sweep::SweepPoint> swapped = pts;
     std::swap(swapped[0], swapped[1]);
-    EXPECT_NE(whole.hex(), farm::keyForGroup(swapped).hex());
+    EXPECT_NE(whole, groupKey(swapped));
 
-    // A group of one is not a per-point key: the domain tag differs.
-    const std::vector<sweep::SweepPoint> one = {pts[0]};
-    EXPECT_NE(farm::keyForGroup(one).hex(),
-              farm::keyForPoint(pts[0]).hex());
+    // A group of one IS a whole point: one task, one record format.
+    EXPECT_EQ(groupKey({pts[0]}), farm::keyForPoint(pts[0]).hex());
+}
+
+TEST(FarmMultiCache, RunawayGroupFallsBackInBothExecutors)
+{
+    // Two geometries of a program that runs past the 400M-instruction
+    // budget: the shared pass fails with RunawayExecution, and both the
+    // thread-pool sweep and the farm fall back to the dedicated path,
+    // whose fragments report the runaway per point ("ok":false).
+    // Cost: eight 400M-instruction functional passes, ~4.5 s each in a
+    // Release build on one x86 core; the reference runs its two on two
+    // jobs, so ~26 s wall (~5 min under ASan+UBSan).
+    std::vector<sweep::SweepPoint> pts(2);
+    for (std::size_t k = 0; k < pts.size(); ++k) {
+        pts[k].machine = "inorder";
+        pts[k].workload = "alvinn";
+        pts[k].scale = 210;
+        pts[k].l1SizeBytes = k ? 8192 : 4096;
+        pts[k].sample = "9973:300:300";
+    }
+    ASSERT_EQ(sweep::planMultiCacheGroups(pts).size(), 1u);
+
+    std::ostringstream dedicated;
+    sweep::writeReportJson(dedicated, sweep::runSweep(pts, 2));
+    const std::string expect = dedicated.str();
+    EXPECT_NE(expect.find("\"ok\":false"), std::string::npos);
+
+    sweep::MultiCache mc;
+    std::ostringstream swept;
+    sweep::writeReportJson(swept, sweep::runSweep(pts, 1, nullptr, nullptr,
+                                                  nullptr, nullptr, &mc));
+    EXPECT_EQ(swept.str(), expect);
+    ASSERT_EQ(mc.groups.size(), 1u);
+    EXPECT_FALSE(mc.groups[0].shared);
+
+    farm::FarmOptions opt;
+    opt.workers = 1;
+    opt.multiCache = true;
+    const farm::FarmResult res = farm::runFarm(pts, opt);
+    ASSERT_TRUE(res.ok) << res.error.format();
+    EXPECT_EQ(farmReport(res), expect);
 }
 
 // --------------------------------------------------------- wire protocol
@@ -720,6 +767,182 @@ TEST(FarmProto, AuthDigestKeysOnTokenAndNonce)
     EXPECT_NE(farm::authDigest("", 1), farm::authDigest("x", 1));
     // The length prefix keeps token/nonce boundaries unambiguous.
     EXPECT_NE(farm::authDigest("ab", 0), farm::authDigest("a", 0));
+}
+
+farm::LeaseMsg
+roundTrip(const farm::LeaseMsg &msg)
+{
+    return farm::decodeLease(farm::encodeLease(msg));
+}
+
+void
+expectGarbage(const farm::Task &task, const char *what)
+{
+    try {
+        (void)roundTrip(farm::LeaseMsg{1, task});
+        ADD_FAILURE() << "decoded a malformed lease: " << what;
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.code(), ErrCode::WorkerLost) << what;
+    }
+}
+
+TEST(FarmProto, LeaseRoundTripsEveryTaskShape)
+{
+    farm::LeaseMsg one;
+    one.slot = 3;
+    one.task.points = {smallPoints()[1]};
+    const farm::LeaseMsg one_back = roundTrip(one);
+    EXPECT_EQ(one_back.slot, 3u);
+    EXPECT_EQ(one_back.task, one.task);
+
+    farm::LeaseMsg many;
+    many.slot = 4;
+    many.task.points = geometryPoints();
+    EXPECT_EQ(roundTrip(many).task, many.task);
+
+    farm::LeaseMsg window;
+    window.slot = 5;
+    window.task.kind = farm::Task::Kind::Window;
+    window.task.points = {geometryPoints()[0]};
+    window.task.windowIndex = 7;
+    window.task.libraryHash = 0xabcdef;
+    window.task.warmImage = {1, 2, 3};
+    window.task.execImage = {4, 5};
+    const farm::LeaseMsg window_back = roundTrip(window);
+    EXPECT_EQ(window_back.slot, 5u);
+    EXPECT_EQ(window_back.task, window.task);
+}
+
+TEST(FarmProto, MalformedTasksAreRejectedAsGarbage)
+{
+    const sweep::SweepPoint p = smallPoints()[0];
+
+    farm::Task points;
+    expectGarbage(points, "points task without points");
+    points.points = {p};
+    points.windowIndex = 1;
+    expectGarbage(points, "points task with a window index");
+    points.windowIndex = 0;
+    points.libraryHash = 1;
+    expectGarbage(points, "points task with a library hash");
+    points.libraryHash = 0;
+    points.warmImage = {1};
+    expectGarbage(points, "points task with a warm image");
+    points.warmImage.clear();
+    points.execImage = {1};
+    expectGarbage(points, "points task with an executor image");
+
+    farm::Task window;
+    window.kind = farm::Task::Kind::Window;
+    window.warmImage = {1};
+    window.execImage = {2};
+    expectGarbage(window, "window task without a point");
+    window.points = {p, p};
+    expectGarbage(window, "window task with two points");
+    window.points = {p};
+    window.warmImage.clear();
+    expectGarbage(window, "window task without a warm image");
+    window.warmImage = {1};
+    window.execImage.clear();
+    expectGarbage(window, "window task without an executor image");
+
+    farm::Task unknown;
+    unknown.kind = static_cast<farm::Task::Kind>(2);
+    unknown.points = {p};
+    expectGarbage(unknown, "unknown task kind");
+
+    // A member count the payload cannot hold is garbage, never a huge
+    // allocation: in a lease and in a result bundle alike.
+    const auto impossibleCount = [](const char *section, bool lease) {
+        Serializer s;
+        s.beginSection(section);
+        if (lease) {
+            s.u64(1); // slot
+            s.u8(0);  // Points
+        }
+        s.u32(0xffffffffu);
+        s.endSection();
+        return s.finish();
+    };
+    try {
+        (void)farm::decodeLease(impossibleCount("lease", true));
+        ADD_FAILURE() << "decoded a lease of 2^32-1 points";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.code(), ErrCode::WorkerLost);
+    }
+    try {
+        (void)farm::decodeFragmentBundle(impossibleCount("bundle", false));
+        ADD_FAILURE() << "decoded a bundle of 2^32-1 fragments";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.code(), ErrCode::WorkerLost);
+    }
+}
+
+TEST(FarmProto, V5PeerIsRejectedAtAdmission)
+{
+    // Coordinator side: a peer that answers the challenge as protocol
+    // v5, with the right token, gets a structured AuthReject and never
+    // a lease. Nobody else joins, so the min-workers watchdog ends the
+    // farm after one lease period, which leaves the peer ample time to
+    // be rejected even on a loaded host.
+    farm::FarmOptions opt;
+    opt.workers = 0;
+    opt.listen = true;
+    opt.token = "hunter2";
+    opt.leaseMs = 2'000;
+    opt.heartbeatMs = 50;
+    std::promise<std::uint16_t> port_promise;
+    std::shared_future<std::uint16_t> port =
+        port_promise.get_future().share();
+    opt.onListen = [&port_promise](std::uint16_t p) {
+        port_promise.set_value(p);
+    };
+    farm::Frame reply;
+    std::thread peer([&reply, port] {
+        try {
+            const int fd = farm::connectTcp("127.0.0.1", port.get(), 2'000);
+            farm::Frame challenge;
+            if (farm::readFrame(fd, &challenge)) {
+                farm::HelloMsg hello;
+                hello.protoVersion = 5;
+                hello.response = farm::authDigest(
+                    "hunter2",
+                    farm::decodeChallenge(challenge.payload).nonce);
+                farm::writeFrame(fd, farm::FrameType::Hello,
+                                 farm::encodeHello(hello));
+                farm::readFrame(fd, &reply);
+            }
+            ::close(fd);
+        } catch (const SimException &) {
+        }
+    });
+    const farm::FarmResult res = farm::runFarm(smallPoints(), opt);
+    peer.join();
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.stats.authFailures, 1u);
+    ASSERT_EQ(reply.type, farm::FrameType::AuthReject);
+    EXPECT_EQ(farm::decodeError(reply.payload).error.code,
+              ErrCode::AuthFailed);
+
+    // Worker side: a v5 coordinator's challenge is refused the same way.
+    int to_worker[2], from_worker[2];
+    ASSERT_EQ(::pipe(to_worker), 0);
+    ASSERT_EQ(::pipe(from_worker), 0);
+    farm::ChallengeMsg challenge;
+    challenge.protoVersion = 5;
+    farm::writeFrame(to_worker[1], farm::FrameType::Challenge,
+                     farm::encodeChallenge(challenge));
+    FaultInjector inject{FaultSchedule{}};
+    try {
+        farm::serveSession(to_worker[0], from_worker[1],
+                           farm::SessionParams{}, inject, nullptr);
+        ADD_FAILURE() << "a v6 worker served a v5 coordinator";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.code(), ErrCode::AuthFailed);
+    }
+    for (const int fd : {to_worker[0], to_worker[1], from_worker[0],
+                         from_worker[1]})
+        ::close(fd);
 }
 
 TEST(Farm, RejectsBadHeartbeatTimers)
@@ -1003,25 +1226,37 @@ captureLibrary(const sweep::SweepPoint &point)
         std::move(lib));
 }
 
+/** Store key of window @p w of the library hashing to @p hash. */
+farm::PointKey
+windowKey(const sweep::SweepPoint &p, std::uint64_t hash, std::uint64_t w)
+{
+    farm::Task task;
+    task.kind = farm::Task::Kind::Window;
+    task.points = {p};
+    task.windowIndex = w;
+    task.libraryHash = hash;
+    return farm::keyForTask(task);
+}
+
 TEST(FarmWindowKey, DistinctPerWindowAndNeverAliasesAPointKey)
 {
     const sweep::SweepPoint p = sampledPoint();
     const std::uint64_t hash = 0xfeedfacecafef00dull;
 
-    const farm::PointKey w0 = farm::keyForWindow(p, hash, 0);
-    EXPECT_EQ(w0, farm::keyForWindow(p, hash, 0));
+    const farm::PointKey w0 = windowKey(p, hash, 0);
+    EXPECT_EQ(w0, windowKey(p, hash, 0));
     EXPECT_EQ(w0.programHash, hash);
 
     // Every window of a library is its own unit of work.
-    const farm::PointKey w1 = farm::keyForWindow(p, hash, 1);
+    const farm::PointKey w1 = windowKey(p, hash, 1);
     EXPECT_NE(w0.configHash, w1.configHash);
 
     // A different library (schedule, capture config, program...) never
     // shares records even for the same window index.
-    EXPECT_NE(w0, farm::keyForWindow(p, hash + 1, 0));
+    EXPECT_NE(w0, windowKey(p, hash + 1, 0));
 
-    // The "window" domain tag keeps shard records disjoint from the
-    // whole-point records of the same point.
+    // The task kind keeps shard records disjoint from the whole-point
+    // records of the same point.
     EXPECT_NE(w0.configHash, farm::keyForPoint(p).configHash);
 
     // And the config side is sensitive to timing-only overrides the
@@ -1030,7 +1265,7 @@ TEST(FarmWindowKey, DistinctPerWindowAndNeverAliasesAPointKey)
     sweep::SweepPoint tweaked = p;
     tweaked.l2Latency = 99;
     EXPECT_NE(w0.configHash,
-              farm::keyForWindow(tweaked, hash, 0).configHash);
+              windowKey(tweaked, hash, 0).configHash);
 }
 
 TEST(FarmWindows, ReportMatchesSweepForAnyWorkerCount)

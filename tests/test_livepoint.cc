@@ -76,7 +76,7 @@ tinyLibrary()
     lib.fastForward = 100;
     lib.warmup = 10;
     lib.measure = 10;
-    lib.totals = sample::CaptureTotals{400, 120, 7, 0};
+    lib.totals = sample::ExactTotals{400, 120, 7, 0};
     lib.points.resize(2);
     lib.points[0].warmImage = {1, 2, 3};
     lib.points[0].execImage = {4, 5, 6, 7};

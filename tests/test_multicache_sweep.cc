@@ -140,3 +140,22 @@ TEST(MultiCacheSweep, RunPointGroupRejectsMixedMembers)
     members[1].sample = "999:99:99";
     EXPECT_THROW(sweep::runPointGroup(members), SimException);
 }
+
+TEST(MultiCacheSweep, RefusedGroupFallsBackToRunPoint)
+{
+    // An informing-mode program cannot share a pass: handed to
+    // runPointGroup anyway, every member runs on its dedicated path.
+    std::vector<sweep::SweepPoint> members =
+        geometryPoints(core::InformingMode::TrapUnique, "2000:100:100");
+    members.resize(2);
+    sweep::MultiCacheGroup prov;
+    prov.shared = true;
+    const std::vector<sweep::SweepOutcome> outs =
+        sweep::runPointGroup(members, &prov);
+    ASSERT_EQ(outs.size(), members.size());
+    for (std::size_t m = 0; m < members.size(); ++m)
+        EXPECT_EQ(report({outs[m]}),
+                  report({sweep::runPoint(members[m])}))
+            << "member " << m;
+    EXPECT_FALSE(prov.shared);
+}
