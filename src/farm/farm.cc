@@ -19,7 +19,6 @@
 #include "common/logging.hh"
 #include "common/manifest.hh"
 #include "common/rng.hh"
-#include "core/informing.hh"
 #include "farm/proto.hh"
 #include "farm/store.hh"
 #include "farm/telemetry.hh"
@@ -27,7 +26,6 @@
 #include "farm/worker.hh"
 #include "sample/sharedpass.hh"
 #include "sweep/engine.hh"
-#include "workloads/suite.hh"
 
 namespace imo::farm
 {
@@ -1084,29 +1082,17 @@ runFarm(const std::vector<sweep::SweepPoint> &points,
     res.runId = opt.runId;
     res.stats.points = points.size();
 
-    // Every point is a member of one Points task: its multi-cache
-    // group when multiCache plans one, else a task of its own. Tasks
-    // keep first-occurrence order, and the plan is a pure function of
-    // the point list, so a resumed farm derives identical tasks and
-    // keys.
-    std::vector<std::vector<std::size_t>> tasks;
-    if (opt.multiCache) {
-        tasks = sweep::planMultiCacheGroups(points);
-        res.stats.multiCacheGroups = tasks.size();
-    }
-    std::vector<bool> grouped(points.size(), false);
+    // Every point is a member of one Points task of the plan, which
+    // is a pure function of the point list, so a resumed farm derives
+    // identical tasks and keys.
+    const std::vector<std::vector<std::size_t>> tasks =
+        sweep::planTasks(points, opt.multiCache);
     for (const std::vector<std::size_t> &members : tasks) {
-        res.stats.pointsGrouped += members.size();
-        for (const std::size_t i : members)
-            grouped[i] = true;
+        if (members.size() > 1) {
+            ++res.stats.multiCacheGroups;
+            res.stats.pointsGrouped += members.size();
+        }
     }
-    for (std::size_t i = 0; i < points.size(); ++i)
-        if (!grouped[i])
-            tasks.push_back({i});
-    std::sort(tasks.begin(), tasks.end(),
-              [](const auto &a, const auto &b) {
-                  return a.front() < b.front();
-              });
 
     // Structurally identical tasks (their lease encoding covers every
     // keyed field) collapse into one slot, so overlapping grids
@@ -1192,11 +1178,14 @@ runFarmWindows(const sweep::SweepPoint &point,
     sim_throw_if(point.sample.empty(), ErrCode::BadConfig,
                  "farm: window sharding needs a sampled point "
                  "(--samples U:W:M)");
-    sim_throw_if(!sweep::libraryMatchesPoint(*library, point),
-                 ErrCode::BadConfig,
-                 "farm: live-point library does not match the point "
-                 "(machine kind, workload program, U:W:M schedule, and "
-                 "capture digest must all agree)");
+    const isa::Program prog = point.buildProgram();
+    const pipeline::MachineConfig cfg = point.resolveConfig();
+    const sample::SampleParams params =
+        sample::SampleParams::parse(point.sample);
+    const std::string mismatch =
+        sample::libraryMismatch(*library, prog, cfg, params);
+    sim_throw_if(!mismatch.empty(), ErrCode::BadConfig,
+                 "farm: %s", mismatch.c_str());
 
     FarmOptions opt = options;
     if (opt.runId.empty())
@@ -1235,14 +1224,7 @@ runFarmWindows(const sweep::SweepPoint &point,
         samples.push_back(sample::decodeWindowSample(
             std::string(s.fragment.begin(), s.fragment.end())));
 
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program prog =
-        core::instrument(workloads::build(point.workload, wp),
-                         point.mode, {.length = point.handlerLen});
-    sample::Sampler sampler(prog, point.resolveConfig(),
-                            sample::SampleParams::parse(point.sample));
+    sample::Sampler sampler(prog, cfg, params);
     sampler.setLibrary(library);
 
     sweep::SweepOutcome outcome;

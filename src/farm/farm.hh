@@ -8,8 +8,9 @@
  * framed protocol in proto.hh is identical on both — under a leasing
  * discipline:
  *
- *  - Every point is a member of one farm Task (proto.hh): a task of
- *    its own, or its multi-cache group's. Identical tasks collapse
+ *  - Every point is a member of one farm Task (proto.hh): one task
+ *    per sweep::planTasks() entry, the plan runSweep() runs — a task
+ *    of its own, or its multi-cache group's. Identical tasks collapse
  *    into one *slot*; overlapping grids are simulated once.
  *  - A slot is leased to a worker with a deadline. Heartbeats refresh
  *    the deadline while the worker makes progress; a worker that
@@ -209,12 +210,14 @@ struct FarmResult
 };
 
 /**
- * Run @p points on a local worker farm. Never throws for run-level
- * failures: lease exhaustion, protocol garbage, result mismatches,
- * and interruption all surface in FarmResult::error. @p stop is an
- * optional cooperative stop flag (SIGINT/SIGTERM): when it fires, the
- * farm shuts down cleanly — the store keeps every finished point, so
- * a re-run with resume=true continues where it left off.
+ * Run @p points on a local worker farm, one leased Task per
+ * sweep::planTasks(points, options.multiCache) entry. Never throws for
+ * run-level failures: lease exhaustion, protocol garbage, result
+ * mismatches, and interruption all surface in FarmResult::error.
+ * @p stop is an optional cooperative stop flag (SIGINT/SIGTERM): when
+ * it fires, the farm shuts down cleanly — the store keeps every
+ * finished point, so a re-run with resume=true continues where it
+ * left off.
  */
 FarmResult runFarm(const std::vector<sweep::SweepPoint> &points,
                    const FarmOptions &options,
@@ -233,7 +236,8 @@ FarmResult runFarm(const std::vector<sweep::SweepPoint> &points,
  * report-JSON fragment — byte-identical to imo-sweep over this point.
  *
  * Throws SimException(BadConfig) when @p point is not sampled or the
- * library does not match it (sweep::libraryMatchesPoint()).
+ * library does not match it; the error names the mismatch
+ * (sample::libraryMismatch()).
  */
 FarmResult
 runFarmWindows(const sweep::SweepPoint &point,

@@ -10,8 +10,6 @@
 #include "common/checkpoint.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "core/informing.hh"
-#include "workloads/suite.hh"
 
 namespace imo::farm
 {
@@ -115,14 +113,8 @@ keyForTask(const Task &task)
         cfg.u64(task.windowIndex);
         key.programHash = task.libraryHash;
     } else {
-        const sweep::SweepPoint &p = task.points.front();
-        workloads::WorkloadParams wp;
-        wp.scale = p.scale;
-        wp.seed = p.seed;
-        const isa::Program base = workloads::build(p.workload, wp);
         key.programHash =
-            core::instrument(base, p.mode, {.length = p.handlerLen})
-                .fingerprint();
+            task.points.front().buildProgram().fingerprint();
     }
     key.configHash = cfg.value();
     key.schemaVersion = sweep::reportSchemaVersion;

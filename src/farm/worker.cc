@@ -16,14 +16,12 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "core/informing.hh"
 #include "farm/transport.hh"
 #include "pipeline/inorder/cpu.hh"
 #include "pipeline/ooo/cpu.hh"
 #include "sample/livepoint.hh"
 #include "sweep/engine.hh"
 #include "sweep/sweep.hh"
-#include "workloads/suite.hh"
 
 namespace imo::farm
 {
@@ -214,12 +212,7 @@ class WindowLeaseRunner
         _point = p;
         _cfg = p.resolveConfig();
         _sp = sample::SampleParams::parse(p.sample);
-        workloads::WorkloadParams wp;
-        wp.scale = p.scale;
-        wp.seed = p.seed;
-        const isa::Program prog =
-            core::instrument(workloads::build(p.workload, wp), p.mode,
-                             {.length = p.handlerLen});
+        const isa::Program prog = p.buildProgram();
         // The runner keeps a reference to the config, so it must point
         // at the stable member, not a local.
         if (_cfg.outOfOrder)

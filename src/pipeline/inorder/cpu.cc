@@ -26,7 +26,7 @@ namespace
 {
 
 FuGroup
-groupOf(OpClass cls, const FuPool &fus)
+fuGroupOf(OpClass cls, const FuPool &fus)
 {
     switch (cls) {
       case OpClass::IntAlu: case OpClass::IntMul: case OpClass::IntDiv:
@@ -219,7 +219,7 @@ InOrderCpu::step(func::TraceSource &src)
     if (in.op == Op::RETMH || in.op == Op::GETMHRR)
         earliest = std::max(earliest, t.mhrrReady);
 
-    const Cycle issue = t.port.reserve(groupOf(cls, cfg.fus), earliest);
+    const Cycle issue = t.port.reserve(fuGroupOf(cls, cfg.fus), earliest);
     t.lastIssue = issue;
     IMO_TRACE(t.trace, issue, obs::Cat::Issue, "issue", r.pc,
               static_cast<std::uint64_t>(in.op));

@@ -27,7 +27,7 @@ namespace
 {
 
 FuGroup
-groupOf(OpClass cls)
+fuGroupOf(OpClass cls)
 {
     switch (cls) {
       case OpClass::IntAlu: case OpClass::IntMul: case OpClass::IntDiv:
@@ -201,7 +201,7 @@ OooCpu::step(func::TraceSource &src)
 
     const isa::Instruction &in = r.inst;
     const OpClass cls = isa::opClass(in.op);
-    const FuGroup group = groupOf(cls);
+    const FuGroup group = fuGroupOf(cls);
 
     const Cycle fc = t.fetch.fetchNext();
     Cycle d = fc + cfg.frontendDepth;

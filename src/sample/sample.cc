@@ -221,10 +221,9 @@ Sampler::runWindows(const std::vector<LivePoint> &points,
 
 template <typename Cpu>
 void
-Sampler::runPassFromLibrary(const char *kind,
-                            const pipeline::SimulateOptions &opt)
+Sampler::runPassFromLibrary(const pipeline::SimulateOptions &opt)
 {
-    validateLibrary(kind);
+    validateLibrary();
     const LivePointLibrary &lib = *_library;
 
     // The capture pass ran the whole program once; its exact totals
@@ -244,7 +243,7 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
                  const pipeline::SimulateOptions &opt)
 {
     if (_library) {
-        runPassFromLibrary<Cpu>(kind, opt);
+        runPassFromLibrary<Cpu>(opt);
         return;
     }
 
@@ -455,38 +454,52 @@ Sampler::finishEstimate()
     finishMissRateEstimate();
 }
 
-void
-Sampler::validateLibrary(const char *kind) const
+std::string
+libraryMismatch(const LivePointLibrary &lib, const isa::Program &program,
+                const pipeline::MachineConfig &config,
+                const SampleParams &params)
 {
-    const LivePointLibrary &lib = *_library;
-    sim_throw_if(lib.kind != kind, ErrCode::BadConfig,
-                 "live-point library was captured on a '%s' machine, "
-                 "this configuration is '%s'", lib.kind.c_str(), kind);
-    sim_throw_if(lib.programFingerprint != _program.fingerprint(),
-                 ErrCode::BadConfig,
-                 "live-point library was captured from workload '%s' "
-                 "(fingerprint %llx), not this program (%llx)",
-                 lib.workload.c_str(),
-                 static_cast<unsigned long long>(lib.programFingerprint),
-                 static_cast<unsigned long long>(_program.fingerprint()));
-    sim_throw_if(lib.digest != captureDigest(_config),
-                 ErrCode::BadConfig,
-                 "live-point library was captured under a different "
-                 "cache/predictor geometry (digest %llx, this "
-                 "configuration %llx)",
-                 static_cast<unsigned long long>(lib.digest),
-                 static_cast<unsigned long long>(
-                     captureDigest(_config)));
-    sim_throw_if(lib.fastForward != _params.fastForward ||
-                 lib.warmup != _params.warmup ||
-                 lib.measure != _params.measure,
-                 ErrCode::BadConfig,
-                 "live-point library was captured on a %llu:%llu:%llu "
-                 "schedule, not %s",
-                 static_cast<unsigned long long>(lib.fastForward),
-                 static_cast<unsigned long long>(lib.warmup),
-                 static_cast<unsigned long long>(lib.measure),
-                 _params.spec().c_str());
+    const char *kind = config.outOfOrder ? "ooo" : "inorder";
+    if (lib.kind != kind) {
+        return simFormat("live-point library was captured on a '%s' "
+                         "machine, this configuration is '%s'",
+                         lib.kind.c_str(), kind);
+    }
+    if (lib.programFingerprint != program.fingerprint()) {
+        return simFormat(
+            "live-point library was captured from workload '%s' "
+            "(fingerprint %llx), not this program (%llx)",
+            lib.workload.c_str(),
+            static_cast<unsigned long long>(lib.programFingerprint),
+            static_cast<unsigned long long>(program.fingerprint()));
+    }
+    if (lib.digest != captureDigest(config)) {
+        return simFormat(
+            "live-point library was captured under a different "
+            "cache/predictor geometry (digest %llx, this configuration "
+            "%llx)",
+            static_cast<unsigned long long>(lib.digest),
+            static_cast<unsigned long long>(captureDigest(config)));
+    }
+    if (lib.fastForward != params.fastForward ||
+        lib.warmup != params.warmup || lib.measure != params.measure) {
+        return simFormat(
+            "live-point library was captured on a %llu:%llu:%llu "
+            "schedule, not %s",
+            static_cast<unsigned long long>(lib.fastForward),
+            static_cast<unsigned long long>(lib.warmup),
+            static_cast<unsigned long long>(lib.measure),
+            params.spec().c_str());
+    }
+    return {};
+}
+
+void
+Sampler::validateLibrary() const
+{
+    const std::string why =
+        libraryMismatch(*_library, _program, _config, _params);
+    sim_throw_if(!why.empty(), ErrCode::BadConfig, "%s", why.c_str());
 }
 
 template <typename Body>
@@ -551,7 +564,7 @@ Sampler::runFromWindowSamples(const std::vector<WindowSample> &samples)
                      "runFromWindowSamples needs setLibrary(): the "
                      "samples are meaningless without the library "
                      "that produced them");
-        validateLibrary(_config.outOfOrder ? "ooo" : "inorder");
+        validateLibrary();
         sim_throw_if(samples.size() != _library->points.size(),
                      ErrCode::BadConfig,
                      "%zu window samples for a %zu-window library",

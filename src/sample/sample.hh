@@ -187,6 +187,20 @@ struct SampleEstimate
 };
 
 /**
+ * Why @p library cannot serve a sampled run of @p program on @p config
+ * under @p params: the machine kind, the instrumented program's
+ * fingerprint, the captureDigest() of the cache/predictor geometry and
+ * the U:W:M schedule must all agree. Returns the first mismatch's
+ * reason, or an empty string when the library matches. The one
+ * library-match policy: Sampler throws the reason before a replay, and
+ * sweep::libraryMatchesPoint() asks whether it is empty.
+ */
+std::string libraryMismatch(const LivePointLibrary &library,
+                            const isa::Program &program,
+                            const pipeline::MachineConfig &config,
+                            const SampleParams &params);
+
+/**
  * The sampling controller. Owns the per-window distributions so they
  * can be exposed to a stats report tree via registerStats().
  *
@@ -290,8 +304,7 @@ class Sampler
                  const pipeline::SimulateOptions &options);
 
     template <typename Cpu>
-    void runPassFromLibrary(const char *kind,
-                            const pipeline::SimulateOptions &options);
+    void runPassFromLibrary(const pipeline::SimulateOptions &options);
 
     /** Run the windows of @p points (inline or pooled) and fold them. */
     template <typename Cpu>
@@ -319,9 +332,9 @@ class Sampler
      *  program halted inside the window). */
     bool foldWindow(const WindowSample &ws);
 
-    /** @throw SimException(BadConfig) unless _library matches this
-     *  sampler's machine kind, program, digest, and schedule. */
-    void validateLibrary(const char *kind) const;
+    /** @throw SimException(BadConfig) with the libraryMismatch()
+     *  reason unless _library serves this sampler. */
+    void validateLibrary() const;
 
     void resetAccumulators();
     void finishEstimate();

@@ -1,5 +1,6 @@
 #include "sweep/sweep.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -44,6 +45,16 @@ SweepPoint::resolveConfig() const
     if (mshrs)
         cfg.mem.mshrs = mshrs;
     return cfg;
+}
+
+isa::Program
+SweepPoint::buildProgram() const
+{
+    workloads::WorkloadParams wp;
+    wp.scale = scale;
+    wp.seed = seed;
+    return core::instrument(workloads::build(workload, wp), mode,
+                            {.length = handlerLen});
 }
 
 std::vector<SweepPoint>
@@ -112,12 +123,7 @@ runPoint(const SweepPoint &point,
     out.point = point;
 
     const pipeline::MachineConfig cfg = point.resolveConfig();
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program base = workloads::build(point.workload, wp);
-    const isa::Program prog =
-        core::instrument(base, point.mode, {.length = point.handlerLen});
+    const isa::Program prog = point.buildProgram();
     if (point.sample.empty()) {
         out.result = pipeline::simulate(prog, cfg);
     } else {
@@ -166,16 +172,6 @@ multiCacheKey(const SweepPoint &p)
                      p.sample.c_str());
 }
 
-isa::Program
-buildProgram(const SweepPoint &p)
-{
-    workloads::WorkloadParams wp;
-    wp.scale = p.scale;
-    wp.seed = p.seed;
-    return core::instrument(workloads::build(p.workload, wp), p.mode,
-                            {.length = p.handlerLen});
-}
-
 } // anonymous namespace
 
 std::vector<std::vector<std::size_t>>
@@ -211,7 +207,7 @@ planMultiCacheGroups(const std::vector<SweepPoint> &points)
         // so it cannot share a pass and stays dedicated.
         try {
             if (!sample::sharedPassEligible(
-                    buildProgram(points[members[0]])))
+                    points[members[0]].buildProgram()))
                 continue;
         } catch (const SimException &) {
             continue; // workload/instrument errors surface per point
@@ -219,6 +215,26 @@ planMultiCacheGroups(const std::vector<SweepPoint> &points)
         groups.push_back(std::move(members));
     }
     return groups;
+}
+
+std::vector<std::vector<std::size_t>>
+planTasks(const std::vector<SweepPoint> &points, bool multiCache)
+{
+    std::vector<std::vector<std::size_t>> tasks;
+    if (multiCache)
+        tasks = planMultiCacheGroups(points);
+    std::vector<bool> grouped(points.size(), false);
+    for (const std::vector<std::size_t> &members : tasks)
+        for (const std::size_t i : members)
+            grouped[i] = true;
+    for (std::size_t i = 0; i < points.size(); ++i)
+        if (!grouped[i])
+            tasks.push_back({i});
+    std::sort(tasks.begin(), tasks.end(),
+              [](const auto &a, const auto &b) {
+                  return a.front() < b.front();
+              });
+    return tasks;
 }
 
 std::vector<SweepOutcome>
@@ -245,7 +261,7 @@ runPointGroup(const std::vector<SweepPoint> &members,
 
     std::vector<SweepOutcome> outs(members.size());
     try {
-        const isa::Program prog = buildProgram(p0);
+        const isa::Program prog = p0.buildProgram();
         const sample::SampleParams params =
             sample::SampleParams::parse(p0.sample);
         std::vector<pipeline::MachineConfig> cfgs;
@@ -286,25 +302,14 @@ runPointGroup(const std::vector<SweepPoint> &members,
 }
 
 bool
-libraryMatchesPoint(const sample::LivePointLibrary &supplied,
+libraryMatchesPoint(const sample::LivePointLibrary &library,
                     const SweepPoint &point)
 {
-    if (point.sample.empty() || supplied.kind != point.machine)
-        return false;
-    const sample::SampleParams sp =
-        sample::SampleParams::parse(point.sample);
-    if (supplied.fastForward != sp.fastForward ||
-        supplied.warmup != sp.warmup || supplied.measure != sp.measure)
-        return false;
-    if (supplied.digest != sample::captureDigest(point.resolveConfig()))
-        return false;
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program prog = core::instrument(
-        workloads::build(point.workload, wp), point.mode,
-        {.length = point.handlerLen});
-    return supplied.programFingerprint == prog.fingerprint();
+    return !point.sample.empty() &&
+           sample::libraryMismatch(
+               library, point.buildProgram(), point.resolveConfig(),
+               sample::SampleParams::parse(point.sample))
+               .empty();
 }
 
 std::vector<SweepOutcome>
@@ -325,35 +330,36 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
                 .count());
     };
 
-    // Every task writes its own pre-sized slots (outcome, timing,
-    // completion flag) directly — point tasks own one index, a group
-    // task owns its members' indices — so results assemble in point
-    // order regardless of scheduling and the report stays
-    // byte-identical for any job count.
+    // Every task writes its members' pre-sized slots (outcome, timing,
+    // completion flag) directly, so results assemble in point order
+    // regardless of scheduling and the report stays byte-identical for
+    // any job count.
     std::vector<SweepOutcome> outcomes(points.size());
     if (completed)
         completed->assign(points.size(), 0);
 
-    // Multi-cache plan: each group of geometry-axis points becomes one
-    // shared-pass task.
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::vector<std::vector<std::size_t>> mcGroups;
-    std::vector<std::size_t> groupOf(points.size(), kNone);
+    // Each multi-point task of the plan records its provenance in its
+    // own MultiCacheGroup (reserved up front, so the pointers stay
+    // valid).
+    const std::vector<std::vector<std::size_t>> tasks =
+        planTasks(points, multiCache != nullptr);
+    std::vector<MultiCacheGroup *> prov(tasks.size(), nullptr);
     if (multiCache) {
-        mcGroups = planMultiCacheGroups(points);
-        multiCache->groups.assign(mcGroups.size(), MultiCacheGroup{});
-        for (std::size_t g = 0; g < mcGroups.size(); ++g) {
-            multiCache->groups[g].members = mcGroups[g];
-            for (const std::size_t i : mcGroups[g])
-                groupOf[i] = g;
+        multiCache->groups.clear();
+        multiCache->groups.reserve(tasks.size());
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+            if (tasks[t].size() > 1) {
+                multiCache->groups.push_back({.members = tasks[t]});
+                prov[t] = &multiCache->groups.back();
+            }
         }
     }
 
-    // Library-sharing plan over the remaining points: the first point
-    // of each geometry-matching sampled group captures ("leader"), the
+    // Library-sharing plan over the one-point sampled tasks: the first
+    // point of each geometry-matching group captures ("leader"), the
     // rest replay ("follower"); a supplied library turns whole
-    // matching groups into followers. Points served by a multi-cache
-    // group need no functional warming at all, so they opt out.
+    // matching groups into followers. Points served by a multi-point
+    // task need no functional warming at all, so they opt out.
     enum class Role : std::uint8_t { Independent, Leader, Follower };
     constexpr std::size_t kSupplied = static_cast<std::size_t>(-1);
     std::vector<Role> role(points.size(), Role::Independent);
@@ -363,9 +369,10 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
     if (sharing) {
         std::unordered_map<std::string, std::vector<std::size_t>>
             groups;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (!points[i].sample.empty() && groupOf[i] == kNone)
-                groups[libraryKey(points[i])].push_back(i);
+        for (const std::vector<std::size_t> &members : tasks) {
+            if (members.size() == 1 && !points[members[0]].sample.empty())
+                groups[libraryKey(points[members[0]])].push_back(
+                    members[0]);
         }
         for (const auto &[key, members] : groups) {
             (void)key;
@@ -386,61 +393,43 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
         }
     }
 
-    // One task per ungrouped point; leaders retain their capture in
-    // their own slot of capturedLibs (pre-sized, no synchronisation
-    // needed — same discipline as the timing slots).
-    const auto makePointTask = [&](std::size_t i) {
-        const SweepPoint &p = points[i];
-        std::shared_ptr<const sample::LivePointLibrary> replay;
-        if (role[i] == Role::Follower) {
-            replay = leaderOf[i] == kSupplied
-                         ? sharing->supplied
-                         : capturedLibs[leaderOf[i]];
-        }
-        std::shared_ptr<const sample::LivePointLibrary> *cap =
-            role[i] == Role::Leader ? &capturedLibs[i] : nullptr;
-        PointTiming *t = timings ? &(*timings)[i] : nullptr;
-        std::uint8_t *done = completed ? completed->data() + i : nullptr;
-        SweepOutcome *out = &outcomes[i];
-        return std::function<int()>(
-            [p, replay, cap, t, done, out, steady_ms] {
-                if (t) {
-                    t->startMs = steady_ms();
-                    t->threadId = std::hash<std::thread::id>{}(
-                        std::this_thread::get_id());
-                }
-                *out = runPoint(p, replay, cap);
-                if (t) {
-                    t->endMs = steady_ms();
-                    t->ran = true;
-                }
-                if (done)
-                    *done = 1;
-                return 0;
-            });
-    };
-
-    // One task per multi-cache group; runPointGroup() itself falls back
-    // to dedicated per-member runs when the shared pass is refused.
-    const auto makeGroupTask = [&](std::size_t g) {
-        std::vector<SweepPoint> mem;
-        mem.reserve(mcGroups[g].size());
-        for (const std::size_t i : mcGroups[g])
-            mem.push_back(points[i]);
-        const std::vector<std::size_t> idx = mcGroups[g];
-        MultiCacheGroup *prov = &multiCache->groups[g];
-        return std::function<int()>([&, mem = std::move(mem), idx,
-                                     prov, steady_ms] {
+    // One body for every task. A multi-point task is one shared pass
+    // (runPointGroup() falls back to dedicated per-member runs when
+    // the pass is refused); a one-point task replays or captures per
+    // its role. Leaders retain their capture in their own slot of
+    // capturedLibs (pre-sized, no synchronisation needed — same
+    // discipline as the timing slots), and phase 1 has joined before
+    // any follower reads it.
+    const auto makeTask = [&](std::size_t t) {
+        return std::function<int()>([&, t] {
+            const std::vector<std::size_t> &idx = tasks[t];
             const std::uint64_t t0 = steady_ms();
             const std::uint64_t tid = std::hash<std::thread::id>{}(
                 std::this_thread::get_id());
-            std::vector<SweepOutcome> outs = runPointGroup(mem, prov);
+            std::vector<SweepOutcome> outs;
+            if (idx.size() > 1) {
+                std::vector<SweepPoint> members;
+                members.reserve(idx.size());
+                for (const std::size_t i : idx)
+                    members.push_back(points[i]);
+                outs = runPointGroup(members, prov[t]);
+            } else {
+                const std::size_t i = idx[0];
+                std::shared_ptr<const sample::LivePointLibrary> replay;
+                if (role[i] == Role::Follower) {
+                    replay = leaderOf[i] == kSupplied
+                                 ? sharing->supplied
+                                 : capturedLibs[leaderOf[i]];
+                }
+                outs.push_back(runPoint(
+                    points[i], replay,
+                    role[i] == Role::Leader ? &capturedLibs[i] : nullptr));
+            }
             const std::uint64_t t1 = steady_ms();
             for (std::size_t k = 0; k < idx.size(); ++k) {
                 outcomes[idx[k]] = std::move(outs[k]);
                 if (timings)
-                    (*timings)[idx[k]] =
-                        PointTiming{t0, t1, tid, true};
+                    (*timings)[idx[k]] = PointTiming{t0, t1, tid, true};
                 if (completed)
                     (*completed)[idx[k]] = 1;
             }
@@ -448,22 +437,14 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
         });
     };
 
-    // Phase 1: group tasks, leaders, and independents in parallel
-    // (captures land in capturedLibs). Phase 2: followers in parallel,
-    // replaying. Group tasks enter the queue where their first member
-    // sits in grid order.
+    // Phase 1: multi-point tasks, leaders, and independents in
+    // parallel (captures land in capturedLibs). Phase 2: followers in
+    // parallel, replaying. Both queues keep plan order.
     std::vector<std::function<int()>> phase1;
-    std::vector<std::uint8_t> groupQueued(mcGroups.size(), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (groupOf[i] != kNone) {
-            if (!groupQueued[groupOf[i]]) {
-                groupQueued[groupOf[i]] = 1;
-                phase1.emplace_back(makeGroupTask(groupOf[i]));
-            }
-            continue;
-        }
-        if (role[i] != Role::Follower)
-            phase1.emplace_back(makePointTask(i));
+    std::vector<std::function<int()>> phase2;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        const bool follower = role[tasks[t].front()] == Role::Follower;
+        (follower ? phase2 : phase1).push_back(makeTask(t));
     }
     runOrdered(phase1, jobs, cancel);
 
@@ -488,11 +469,6 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
         }
     }
 
-    std::vector<std::function<int()>> phase2;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (role[i] == Role::Follower)
-            phase2.emplace_back(makePointTask(i));
-    }
     runOrdered(phase2, jobs, cancel);
     return outcomes;
 }

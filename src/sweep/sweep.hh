@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/informing.hh"
+#include "isa/program.hh"
 #include "pipeline/config.hh"
 #include "pipeline/result.hh"
 #include "sample/sample.hh"
@@ -60,6 +61,12 @@ struct SweepPoint
 
     /** The point's machine config with overrides applied. */
     pipeline::MachineConfig resolveConfig() const;
+
+    /** The point's program: its workload built at the point's scale
+     *  and seed, instrumented for its informing mode and handler
+     *  length. Deterministic, so its fingerprint content-addresses the
+     *  program. */
+    isa::Program buildProgram() const;
 
     bool operator==(const SweepPoint &o) const = default;
 };
@@ -120,11 +127,11 @@ runPoint(const SweepPoint &point,
          std::shared_ptr<const sample::LivePointLibrary> *capture);
 
 /**
- * Does @p library serve @p point? Mirrors Sampler::validateLibrary —
- * machine kind, U:W:M schedule, capture digest, and the instrumented
- * program's fingerprint must all agree. Builds and instruments the
- * point's program to check the fingerprint, so it costs about as much
- * as content-addressing the point.
+ * Does @p library serve @p point? True when @p point is sampled and
+ * sample::libraryMismatch() — the check Sampler applies before a
+ * replay — finds nothing. Builds the point's program to check its
+ * fingerprint, so it costs about as much as content-addressing the
+ * point.
  */
 bool libraryMatchesPoint(const sample::LivePointLibrary &library,
                          const SweepPoint &point);
@@ -195,6 +202,16 @@ std::vector<std::vector<std::size_t>>
 planMultiCacheGroups(const std::vector<SweepPoint> &points);
 
 /**
+ * Partition @p points into tasks, the units of work of runSweep() and
+ * farm::runFarm(): each task lists point indices in ascending order,
+ * every point sits in exactly one task, and tasks are ordered by their
+ * first member. With @p multiCache the multi-point tasks are exactly
+ * planMultiCacheGroups(points); every other point is a task of one.
+ */
+std::vector<std::vector<std::size_t>>
+planTasks(const std::vector<SweepPoint> &points, bool multiCache);
+
+/**
  * Run a list of points as one unit of work: build the shared program
  * once, classify the reference stream for every member geometry in a
  * single pass, and fold each member's windows into its estimate. A
@@ -223,30 +240,30 @@ struct PointTiming
 };
 
 /**
- * Run every point with @p jobs worker threads. Each point builds its
- * own program and machine from scratch (no shared mutable state), so
- * outcomes[i] depends only on points[i] and the output is identical
- * for any job count.
+ * Run every point with @p jobs worker threads, one planTasks() task
+ * per unit of work. Each task builds its own program and machine from
+ * scratch (no shared mutable state), so outcomes[i] depends only on
+ * points[i] and the output is identical for any job count.
  *
  * @p cancel / @p completed (both optional) add cooperative
  * cancellation: see runOrdered().
  *
  * @p timings (optional) is resized to points.size() and timings[i] is
- * written by the task running point i (no cross-task sharing); it must
- * outlive the call.
+ * written by the task that runs point i (a multi-point task gives all
+ * its members its span); it must outlive the call.
  *
- * @p sharing (optional) enables live-point library reuse across
- * geometry-matching sampled points: group leaders run first (capturing
- * in memory), then the followers replay in parallel. Output bytes are
+ * @p sharing (optional) enables live-point library reuse among the
+ * one-point sampled tasks: group leaders run first (capturing in
+ * memory), then the followers replay in parallel. Output bytes are
  * identical with sharing on or off; only the redundant functional
  * warming disappears.
  *
- * @p multiCache (optional) enables single-pass multi-configuration
- * cache simulation: planMultiCacheGroups() partitions the points, each
- * group runs as ONE task via runPointGroup() (so groups parallelize
- * across the pool like points do), and ungrouped points proceed
- * exactly as before — including library sharing among themselves.
- * Output bytes are identical with multi-cache on or off.
+ * @p multiCache (optional) turns on the multi-point tasks of the plan:
+ * each runs as ONE task via runPointGroup() (so groups parallelize
+ * across the pool like points do) and records its provenance in
+ * multiCache->groups; every other point proceeds exactly as before,
+ * including library sharing among themselves. Output bytes are
+ * identical with multi-cache on or off.
  */
 std::vector<SweepOutcome> runSweep(
     const std::vector<SweepPoint> &points, unsigned jobs,

@@ -47,6 +47,8 @@
 #include "sample/livepoint.hh"
 #include "sweep/sweep.hh"
 
+#include "grid_helpers.hh"
+
 namespace
 {
 
@@ -565,6 +567,29 @@ TEST(FarmMultiCache, MixedGridLeavesIneligiblePointsDedicated)
     EXPECT_EQ(res.stats.multiCacheGroups, 1u);
     EXPECT_EQ(res.stats.pointsGrouped, pts.size() - 1);
     EXPECT_EQ(res.stats.uniqueSlots, 2u);
+    EXPECT_EQ(farmReport(res), sweepReport(pts));
+}
+
+TEST(FarmMultiCache, MixedTaskGridFollowsTheSweepPlan)
+{
+    // runFarm and runSweep run one task plan: the farm counts exactly
+    // the sweep's multi-cache groups, leases one slot per task, and
+    // ships the plain sweep's bytes.
+    const std::vector<sweep::SweepPoint> pts = testhelpers::mixedTaskGrid();
+    sweep::MultiCache mc;
+    (void)sweep::runSweep(pts, 2, nullptr, nullptr, nullptr, nullptr,
+                          &mc);
+
+    farm::FarmOptions opt;
+    opt.workers = 2;
+    opt.multiCache = true;
+    const farm::FarmResult res = farm::runFarm(pts, opt);
+    ASSERT_TRUE(res.ok) << res.error.format();
+    ASSERT_EQ(mc.groups.size(), 1u);
+    EXPECT_EQ(res.stats.multiCacheGroups, mc.groups.size());
+    EXPECT_EQ(res.stats.pointsGrouped, mc.groups[0].members.size());
+    EXPECT_EQ(res.stats.uniqueSlots,
+              sweep::planTasks(pts, true).size());
     EXPECT_EQ(farmReport(res), sweepReport(pts));
 }
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/error.hh"
@@ -424,23 +425,44 @@ TEST(LivePointSampler, MismatchedLibraryIsAStructuredError)
     const pipeline::MachineConfig cfg = pipeline::makeInOrderConfig();
     auto lib = std::make_shared<const sample::LivePointLibrary>(
         capturedLibrary());
+    EXPECT_EQ(sample::libraryMismatch(*lib, prog, cfg,
+                                      sample::SampleParams{}),
+              "");
+
+    // One input per mismatch kind; each error names its own cause.
+    const auto expectRefused = [&](const isa::Program &p,
+                                   const pipeline::MachineConfig &c,
+                                   const sample::SampleParams &params,
+                                   const char *cause) {
+        sample::Sampler sampler(p, c, params);
+        sampler.setLibrary(lib);
+        const sample::SampleEstimate e = sampler.run();
+        EXPECT_FALSE(e.ok) << cause;
+        EXPECT_EQ(e.error.code, ErrCode::BadConfig) << cause;
+        EXPECT_NE(e.error.message.find(cause), std::string::npos)
+            << e.error.message;
+        EXPECT_EQ(e.error.message,
+                  sample::libraryMismatch(*lib, p, c, params));
+    };
+
+    // Wrong machine kind: captured in-order, replayed out-of-order.
+    expectRefused(prog, pipeline::makeOutOfOrderConfig(),
+                  sample::SampleParams{}, "'inorder' machine");
+
+    // Wrong program: fingerprints differ.
+    expectRefused(buildWorkload("ora", 0.1), cfg, sample::SampleParams{},
+                  "captured from workload");
+
+    // Wrong geometry: another L1 size changes the capture digest.
+    pipeline::MachineConfig bigger = cfg;
+    bigger.l1.sizeBytes *= 2;
+    expectRefused(prog, bigger, sample::SampleParams{},
+                  "cache/predictor geometry");
 
     // Wrong schedule: the boundaries were laid on another U:W:M.
     sample::SampleParams other;
     other.measure += 50;
-    sample::Sampler sched(prog, cfg, other);
-    sched.setLibrary(lib);
-    const sample::SampleEstimate e1 = sched.run();
-    EXPECT_FALSE(e1.ok);
-    EXPECT_EQ(e1.error.code, ErrCode::BadConfig);
-
-    // Wrong program: fingerprints differ.
-    sample::Sampler wrongProg(buildWorkload("ora", 0.1), cfg,
-                              sample::SampleParams{});
-    wrongProg.setLibrary(lib);
-    const sample::SampleEstimate e2 = wrongProg.run();
-    EXPECT_FALSE(e2.ok);
-    EXPECT_EQ(e2.error.code, ErrCode::BadConfig);
+    expectRefused(prog, cfg, other, "schedule");
 
     // Wrong shard count for the fold entry point.
     sample::Sampler fold(prog, cfg, sample::SampleParams{});

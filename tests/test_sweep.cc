@@ -5,11 +5,16 @@
  *
  *  - runOrdered(): results land in input order for any job count,
  *    and task exceptions propagate (first failing index wins).
+ *  - runOrderedWith(): a failing context factory is rethrown, and
+ *    each worker builds its context once.
  *  - expandGrid(): cardinality and deterministic axis ordering.
+ *  - planTasks(): every point in exactly one task, tasks ordered by
+ *    first member, multi-point tasks = planMultiCacheGroups().
  *  - runSweep() + writeReportJson(): byte-identical JSON for
  *    --jobs 1 vs --jobs 4 on a real (small) grid — with and without a
  *    sampled (--samples) axis — and a well-formed report for an empty
- *    grid.
+ *    grid; and a grid holding every task kind gives the plain report
+ *    with library sharing and multi-cache both on.
  *  - CacheGeometry: the compiled shift/mask fast path agrees with the
  *    reference divide chain on randomized addresses across all legal
  *    shapes, and lineAddrOf() inverts (setIndex, tag) — the dirty-
@@ -18,18 +23,24 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <mutex>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hh"
 #include "memory/geometry.hh"
 #include "sweep/engine.hh"
 #include "sweep/sweep.hh"
+
+#include "grid_helpers.hh"
 
 namespace
 {
@@ -153,6 +164,69 @@ TEST(SweepEngine, EmptyTaskList)
     EXPECT_TRUE(sweep::runOrdered(tasks, 4).empty());
 }
 
+TEST(SweepEngine, ContextFactoryFailureIsRethrown)
+{
+    // The first context construction throws on its worker thread. The
+    // other workers may drain the queue, but the caller must still see
+    // the failure rather than a result vector with holes.
+    std::vector<std::function<int(int &)>> tasks;
+    for (int i = 0; i < 16; ++i)
+        tasks.emplace_back([i](int &) { return i; });
+    std::atomic<int> made{0};
+    const std::function<int()> make_ctx = [&made]() -> int {
+        if (made.fetch_add(1) == 0)
+            throw std::runtime_error("no context");
+        return 0;
+    };
+    for (const unsigned jobs : {1u, 4u}) {
+        made = 0;
+        try {
+            sweep::runOrderedWith<int, int>(make_ctx, tasks, jobs);
+            FAIL() << "expected an exception (jobs=" << jobs << ")";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "no context");
+        }
+    }
+}
+
+TEST(SweepEngine, EachWorkerBuildsItsContextOnce)
+{
+    struct Ctx
+    {
+        std::thread::id owner;
+    };
+    std::mutex mu;
+    std::vector<std::thread::id> builders;
+    const std::function<Ctx()> make_ctx = [&] {
+        const std::lock_guard<std::mutex> lock(mu);
+        builders.push_back(std::this_thread::get_id());
+        return Ctx{std::this_thread::get_id()};
+    };
+    // Each task reports whether its context was built on its own
+    // thread (int, not bool: results are written concurrently).
+    std::vector<std::function<int(Ctx &)>> tasks;
+    for (int i = 0; i < 64; ++i) {
+        tasks.emplace_back([](Ctx &ctx) {
+            return ctx.owner == std::this_thread::get_id() ? 1 : 0;
+        });
+    }
+    for (const unsigned jobs : {4u, 1u}) {
+        builders.clear();
+        const std::vector<int> own =
+            sweep::runOrderedWith<int, Ctx>(make_ctx, tasks, jobs);
+        EXPECT_EQ(own, std::vector<int>(tasks.size(), 1))
+            << "jobs=" << jobs;
+        ASSERT_GE(builders.size(), 1u);
+        EXPECT_LE(builders.size(), jobs) << "jobs=" << jobs;
+        const std::set<std::thread::id> distinct(builders.begin(),
+                                                 builders.end());
+        EXPECT_EQ(distinct.size(), builders.size()) << "jobs=" << jobs;
+    }
+    EXPECT_EQ(builders, std::vector<std::thread::id>{
+                            std::this_thread::get_id()})
+        << "an inline run builds one context, on the caller";
+}
+
 // ------------------------------------------------------------------ grid
 
 TEST(SweepGrid, ExpandCardinalityAndOrder)
@@ -274,6 +348,91 @@ TEST(SweepRun, SampledAxisReportByteIdenticalAcrossJobCounts)
     EXPECT_EQ(j1, j4);
     EXPECT_NE(j1.find("\"sample\":\"9973:300:300\""), std::string::npos);
     EXPECT_NE(j1.find("\"cpi_mean\":"), std::string::npos);
+}
+
+// ------------------------------------------------------------ task plan
+
+std::string
+reportOf(const std::vector<sweep::SweepOutcome> &outcomes)
+{
+    std::ostringstream os;
+    sweep::writeReportJson(os, outcomes);
+    return os.str();
+}
+
+TEST(SweepPlan, TasksPartitionEveryPointOnce)
+{
+    sweep::SweepGrid geometry;
+    geometry.workloads = {"espresso", "ora"};
+    geometry.modes = {core::InformingMode::None,
+                      core::InformingMode::TrapSingle};
+    geometry.scale = 0.2;
+    geometry.l1SizesBytes = {4096, 8192};
+    geometry.samples = {"", "2000:100:100"};
+    const std::vector<std::vector<sweep::SweepPoint>> grids = {
+        {}, testhelpers::mixedTaskGrid(), sweep::expandGrid(geometry)};
+
+    for (const std::vector<sweep::SweepPoint> &points : grids) {
+        for (const bool multiCache : {false, true}) {
+            const std::vector<std::vector<std::size_t>> tasks =
+                sweep::planTasks(points, multiCache);
+            std::vector<int> seen(points.size(), 0);
+            std::vector<std::vector<std::size_t>> multi;
+            for (std::size_t t = 0; t < tasks.size(); ++t) {
+                ASSERT_FALSE(tasks[t].empty());
+                for (std::size_t k = 0; k < tasks[t].size(); ++k) {
+                    ASSERT_LT(tasks[t][k], points.size());
+                    ++seen[tasks[t][k]];
+                    if (k > 0)
+                        EXPECT_LT(tasks[t][k - 1], tasks[t][k]);
+                }
+                if (t > 0)
+                    EXPECT_LT(tasks[t - 1].front(), tasks[t].front());
+                if (tasks[t].size() > 1)
+                    multi.push_back(tasks[t]);
+            }
+            EXPECT_EQ(seen, std::vector<int>(points.size(), 1));
+            if (multiCache)
+                EXPECT_EQ(multi, sweep::planMultiCacheGroups(points));
+            else
+                EXPECT_EQ(tasks.size(), points.size());
+        }
+    }
+    // The geometry grid does plan groups: N-mode sampled points of
+    // each workload, two geometries each.
+    EXPECT_EQ(sweep::planMultiCacheGroups(grids[2]).size(), 2u);
+}
+
+TEST(SweepRun, SharingAndMultiCacheKeepReportBytes)
+{
+    // Every task kind in one run: a multi-cache group, a live-point
+    // leader and its follower, and a full-detail point.
+    const std::vector<sweep::SweepPoint> points =
+        testhelpers::mixedTaskGrid();
+    for (const unsigned jobs : {1u, 4u}) {
+        const std::string plain = reportOf(sweep::runSweep(points, jobs));
+        sweep::LibrarySharing sharing;
+        sweep::MultiCache mc;
+        std::vector<std::uint8_t> completed;
+        std::vector<sweep::PointTiming> timings;
+        const std::vector<sweep::SweepOutcome> outs =
+            sweep::runSweep(points, jobs, nullptr, &completed, &timings,
+                            &sharing, &mc);
+        EXPECT_EQ(reportOf(outs), plain) << "jobs=" << jobs;
+        EXPECT_EQ(sharing.captured, 1u) << "jobs=" << jobs;
+        EXPECT_EQ(sharing.reused, 1u) << "jobs=" << jobs;
+        ASSERT_EQ(mc.groups.size(), 1u) << "jobs=" << jobs;
+        EXPECT_EQ(mc.groups[0].members, (std::vector<std::size_t>{0, 3}));
+        EXPECT_TRUE(mc.groups[0].shared);
+        EXPECT_EQ(mc.pointsShared, 2u) << "jobs=" << jobs;
+        EXPECT_EQ(completed, std::vector<std::uint8_t>(points.size(), 1));
+        for (const sweep::PointTiming &t : timings)
+            EXPECT_TRUE(t.ran);
+        // The group's members share its span.
+        EXPECT_EQ(timings[0].startMs, timings[3].startMs);
+        EXPECT_EQ(timings[0].endMs, timings[3].endMs);
+        EXPECT_EQ(timings[0].threadId, timings[3].threadId);
+    }
 }
 
 // -------------------------------------------------------------- geometry
