@@ -17,29 +17,8 @@
  * sequential driver for any job count.
  */
 
-#include <cstdlib>
-#include <thread>
-
 #include "harness.hh"
 #include "sweep/engine.hh"
-
-namespace
-{
-
-unsigned
-jobsFromEnv()
-{
-    if (const char *env = std::getenv("IMO_SWEEP_JOBS")) {
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        if (n)
-            return n;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-} // anonymous namespace
 
 int
 main()

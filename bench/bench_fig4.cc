@@ -11,31 +11,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <thread>
 
 #include "coherence/kernels.hh"
 #include "common/table.hh"
+#include "harness.hh"
 #include "sweep/engine.hh"
-
-namespace
-{
-
-unsigned
-jobsFromEnv()
-{
-    if (const char *env = std::getenv("IMO_SWEEP_JOBS")) {
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        if (n)
-            return n;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-} // anonymous namespace
 
 int
 main()
@@ -95,7 +76,7 @@ main()
         }
     }
     const std::vector<CoherenceResult> results =
-        sweep::runOrdered(tasks, jobsFromEnv());
+        sweep::runOrdered(tasks, bench::jobsFromEnv());
 
     double sum_ref = 0, sum_ecc = 0;
     int apps = 0;

@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "branch/predictor.hh"
+#include "coherence/kernels.hh"
 #include "common/rng.hh"
 #include "core/informing.hh"
 #include "farm/proto.hh"
@@ -297,6 +298,26 @@ BM_FarmOverhead(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(slot));
 }
 BENCHMARK(BM_FarmOverhead)->Unit(benchmark::kMicrosecond);
+
+/** One Figure-4 cell: the 16-processor machine replaying the stencil
+ *  kernel at scale 0.3 under informing access control. Items are
+ *  references, so the rate is the coherence loop's throughput. */
+void
+BM_CoherenceRun(benchmark::State &state)
+{
+    const coherence::ParallelWorkload wl =
+        coherence::makeStencil({.scale = 0.3});
+    coherence::CoherentMachine machine(coherence::CoherenceParams{},
+                                       coherence::AccessMethod::Informing);
+    std::uint64_t refs = 0;
+    for (auto _ : state) {
+        const coherence::CoherenceResult r = machine.run(wl);
+        benchmark::DoNotOptimize(r.execTime);
+        refs += r.refs;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
+}
+BENCHMARK(BM_CoherenceRun)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -7,8 +7,10 @@
 #define IMO_BENCH_HARNESS_HH
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "common/table.hh"
 #include "core/informing.hh"
@@ -17,6 +19,24 @@
 
 namespace imo::bench
 {
+
+/**
+ * Worker count for harnesses that run their grid on the sweep engine:
+ * IMO_SWEEP_JOBS when it is a positive number, else the hardware
+ * concurrency. Results are identical for any count.
+ */
+inline unsigned
+jobsFromEnv()
+{
+    if (const char *env = std::getenv("IMO_SWEEP_JOBS")) {
+        const unsigned n =
+            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+        if (n)
+            return n;
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
 
 /** One Figure-2-style configuration: mode + generic handler length. */
 struct FigConfig

@@ -251,9 +251,15 @@ makeFalseShare(const KernelParams &params)
 std::vector<ParallelWorkload>
 makeAllKernels(const KernelParams &params)
 {
-    return {makeStencil(params), makeProdCons(params),
-            makeMigratory(params), makeReadMostly(params),
-            makeFalseShare(params)};
+    // Moved in one by one: a braced list would copy every stream.
+    std::vector<ParallelWorkload> kernels;
+    kernels.reserve(5);
+    kernels.push_back(makeStencil(params));
+    kernels.push_back(makeProdCons(params));
+    kernels.push_back(makeMigratory(params));
+    kernels.push_back(makeReadMostly(params));
+    kernels.push_back(makeFalseShare(params));
+    return kernels;
 }
 
 } // namespace imo::coherence

@@ -236,6 +236,26 @@ CoherentMachine::pageHasReadonly(std::uint32_t p, Addr addr) const
 }
 
 void
+CoherentMachine::refreshKey(std::uint32_t p,
+                            const ParallelWorkload &workload)
+{
+    const Proc &proc = _procs[p];
+    if (proc.atBarrier || proc.pos >= workload.streams[p].size()) {
+        _keys[p] = idleKey;
+        return;
+    }
+    if (proc.clock >> (64 - keyProcBits)) [[unlikely]] {
+        throwWithRing(
+            ErrCode::RunawayExecution, _ring,
+            simFormat("processor %u clock %llu on workload '%s' is past "
+                      "the scheduler's 2^%u-cycle range",
+                      p, static_cast<unsigned long long>(proc.clock),
+                      workload.name.c_str(), 64 - keyProcBits));
+    }
+    _keys[p] = proc.clock << keyProcBits | p;
+}
+
+void
 CoherentMachine::step(std::uint32_t p, const TraceItem &item)
 {
     Proc &proc = _procs[p];
@@ -377,7 +397,12 @@ CoherentMachine::run(const ParallelWorkload &workload,
                  workload.name.c_str(), workload.streams.size(),
                  _procs.size());
 
-    const std::uint64_t fp = fingerprintWorkload(workload);
+    // Only checkpoint images carry the workload fingerprint, so a run
+    // without checkpoint hooks never pays for hashing every item.
+    const std::uint64_t fp =
+        hooks.resumeImage || hooks.checkpointEveryRefs
+            ? fingerprintWorkload(workload)
+            : 0;
 
     if (hooks.resumeImage) {
         Deserializer d(*hooks.resumeImage);
@@ -423,6 +448,9 @@ CoherentMachine::run(const ParallelWorkload &workload,
     }
 
     const std::uint32_t n = static_cast<std::uint32_t>(_procs.size());
+    _keys.assign(n, idleKey);
+    for (std::uint32_t p = 0; p < n; ++p)
+        refreshKey(p, workload);
 
     // Forward-progress watchdog: consecutive scheduler iterations that
     // neither execute a trace item nor release a barrier. Barrier
@@ -442,17 +470,13 @@ CoherentMachine::run(const ParallelWorkload &workload,
                           workload.name.c_str()));
         }
 
-        // Pick the runnable processor with the smallest local clock.
-        std::int32_t best = -1;
-        for (std::uint32_t p = 0; p < n; ++p) {
-            const Proc &proc = _procs[p];
-            if (proc.atBarrier || proc.pos >= workload.streams[p].size())
-                continue;
-            if (best < 0 || proc.clock < _procs[best].clock)
-                best = static_cast<std::int32_t>(p);
-        }
+        // Pick the runnable processor with the smallest local clock,
+        // lowest index on ties: the minimum key.
+        std::uint64_t next = idleKey;
+        for (const std::uint64_t key : _keys)
+            next = std::min(next, key);
 
-        if (best < 0) {
+        if (next == idleKey) {
             // Everyone is finished or waiting at a barrier.
             std::uint32_t waiting = 0;
             Cycle maxc = 0;
@@ -471,6 +495,7 @@ CoherentMachine::run(const ParallelWorkload &workload,
                 _procs[p].clock = maxc + _params.barrierCost;
                 _procs[p].atBarrier = false;
                 ++_procs[p].pos;
+                refreshKey(p, workload);
             }
             _ring.push(maxc, "barrier-release", waiting);
             IMO_TRACE(_trace, maxc, obs::Cat::Coh, "barrier-release",
@@ -479,18 +504,24 @@ CoherentMachine::run(const ParallelWorkload &workload,
             continue;
         }
 
-        const std::uint32_t p = static_cast<std::uint32_t>(best);
-        const TraceItem &item = workload.streams[p][_procs[p].pos];
+        const auto p =
+            static_cast<std::uint32_t>(next & ((1u << keyProcBits) - 1));
+        Proc &proc = _procs[p];
+        const TraceItem &item = workload.streams[p][proc.pos];
         if (item.kind == TraceItem::Kind::Barrier) {
-            _procs[p].atBarrier = true;
-            _ring.push(_procs[p].clock, "barrier-enter", p);
-            IMO_TRACE(_trace, _procs[p].clock, obs::Cat::Coh,
-                      "barrier-enter", p);
+            proc.atBarrier = true;
+            _keys[p] = idleKey;
+            _ring.push(proc.clock, "barrier-enter", p);
+            IMO_TRACE(_trace, proc.clock, obs::Cat::Coh, "barrier-enter",
+                      p);
             ++stuck;
             continue;
         }
+        // step() moves only processor p's clock, so no other key is
+        // stale.
         step(p, item);
-        ++_procs[p].pos;
+        ++proc.pos;
+        refreshKey(p, workload);
         stuck = 0;
 
         if (hooks.checkpointEveryRefs && hooks.onCheckpoint &&

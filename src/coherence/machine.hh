@@ -6,8 +6,11 @@
  *
  * Each processor replays a reference stream (with embedded compute
  * delays and barriers) against its private two-level cache and the
- * global protection directory. The configured AccessMethod determines
- * where detection/lookup overhead is paid:
+ * global protection directory. The scheduler always steps the runnable
+ * processor with the smallest local clock, lowest index on ties; when
+ * every unfinished processor waits at a barrier, the barrier releases
+ * them all at the latest arrival's clock. The configured AccessMethod
+ * determines where detection/lookup overhead is paid:
  *
  *  - ReferenceCheck: a protection-table lookup on every shared
  *    reference;
@@ -146,7 +149,8 @@ class CoherentMachine
     /** Run @p workload to completion. */
     CoherenceResult run(const ParallelWorkload &workload);
 
-    /** Run with checkpoint hooks (resume and/or periodic images). */
+    /** Run with checkpoint hooks (resume and/or periodic images). The
+     *  workload is fingerprinted only when a hook needs an image. */
     CoherenceResult run(const ParallelWorkload &workload,
                         const RunHooks &hooks);
 
@@ -181,6 +185,17 @@ class CoherentMachine
         memory::SetAssocCache l2;
     };
 
+    /** Scheduling key of a processor that cannot be picked. */
+    static constexpr std::uint64_t idleKey = ~std::uint64_t{0};
+
+    /** Key bits below the clock; holds any index under the 32-processor
+     *  cap CoherenceParams::validate() enforces. */
+    static constexpr unsigned keyProcBits = 5;
+
+    /** Recompute @p p's scheduling key: clock << keyProcBits | p while
+     *  it is runnable, idleKey when finished or waiting at a barrier. */
+    void refreshKey(std::uint32_t p, const ParallelWorkload &workload);
+
     /** Process one trace item on processor @p p; updates its clock. */
     void step(std::uint32_t p, const TraceItem &item);
 
@@ -209,6 +224,15 @@ class CoherentMachine
     AccessMethod _method;
     Directory _directory;
     std::vector<Proc> _procs;
+
+    /**
+     * One scheduling key per processor (see refreshKey()); the next
+     * processor to step is the minimum, i.e. the smallest clock, lowest
+     * index on ties. Derived from _procs: rebuilt at the start of every
+     * run() and never serialized.
+     */
+    std::vector<std::uint64_t> _keys;
+
     FaultInjector *_faults = nullptr;
     obs::Observer *_obs = nullptr;
     obs::TraceSink *_trace = nullptr;

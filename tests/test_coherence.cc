@@ -449,6 +449,23 @@ TEST(Robustness, WatchdogDisabledAllowsBarriers)
     EXPECT_EQ(r.refs, 2u);
 }
 
+TEST(Robustness, ClockPastSchedulerRangeIsAStructuredError)
+{
+    // The scheduler packs clock << 5 | processor into 64 bits; a clock
+    // that no longer fits must not wrap into a wrong schedule.
+    CoherenceParams p = twoProcParams();
+    p.barrierCost = Cycle{1} << 60;
+    CoherentMachine m(p, AccessMethod::Informing);
+    const TraceItem barrier{TraceItem::Kind::Barrier, 0, false, false, 0};
+    try {
+        m.run(twoProcWorkload({barrier, ref(0x100, false)},
+                              {barrier, ref(0x200, false)}));
+        FAIL() << "clock overflow accepted";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.error().code, ErrCode::RunawayExecution);
+    }
+}
+
 TEST(Robustness, DroppedInvalidationRetransmitsAndRecovers)
 {
     // Per-message drop probability low enough that three consecutive

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+
 #include "coherence/kernels.hh"
 
 namespace
@@ -201,6 +205,226 @@ TEST(Sensitivity, SmallerNetworkLatencyFavorsInforming)
                static_cast<double>(inf.run(wl).execTime);
     };
     EXPECT_GT(ratio_with_latency(300), ratio_with_latency(1500));
+}
+
+
+/** Every CoherenceResult counter of one (kernel, method, one-way
+ *  message latency) run at scale 0.3. */
+struct GoldenRun
+{
+    const char *kernel;
+    AccessMethod method;
+    Cycle messageLatency;
+    // execTime, refs, sharedRefs, l1Misses, lookups, faults,
+    // protocolEvents, networkRounds, invalidations,
+    // droppedInvalidations, delayedAcks, computeCycles, memoryCycles,
+    // accessControlCycles, networkCycles, barrierWaitCycles
+    std::array<std::uint64_t, 16> counters;
+};
+
+/**
+ * Recorded from the per-reference scan scheduler that the scheduling
+ * keys replaced. Any change to the processor interleaving moves
+ * protocol events, and with them most of these counters.
+ */
+const GoldenRun goldenRuns[] = {
+    {"stencil", AccessMethod::ReferenceCheck, 450,
+     {713926u, 101855u, 81536u, 6080u, 81536u, 0u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 314655u, 1696448u, 9100800u, 125538u}},
+    {"stencil", AccessMethod::EccFault, 450,
+     {921650u, 101855u, 81536u, 6080u, 0u, 21344u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 314655u, 5010240u, 9100800u, 135330u}},
+    {"stencil", AccessMethod::Informing, 450,
+     {643478u, 101855u, 81536u, 10176u, 9152u, 0u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 355615u, 530816u, 9100800u, 123042u}},
+    {"stencil", AccessMethod::Hardware, 450,
+     {607510u, 101855u, 81536u, 6080u, 0u, 0u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 314655u, 0u, 9100800u, 119330u}},
+    {"prodcons", AccessMethod::ReferenceCheck, 450,
+     {428029u, 61434u, 49152u, 5121u, 49152u, 0u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240644u, 987136u, 5529600u, 1874u}},
+    {"prodcons", AccessMethod::EccFault, 450,
+     {465033u, 61434u, 49152u, 5120u, 0u, 5392u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240634u, 1281120u, 5529600u, 299964u}},
+    {"prodcons", AccessMethod::Informing, 450,
+     {381181u, 61434u, 49152u, 5121u, 4096u, 0u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240644u, 237568u, 5529600u, 1874u}},
+    {"prodcons", AccessMethod::Hardware, 450,
+     {366333u, 61434u, 49152u, 5121u, 0u, 0u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240644u, 0u, 5529600u, 1874u}},
+    {"migratory", AccessMethod::ReferenceCheck, 450,
+     {566056u, 129507u, 103680u, 3041u, 103680u, 0u, 3724u, 6224u,
+      1517u, 0u, 0u, 267747u, 235767u, 1959340u, 5601600u, 0u}},
+    {"migratory", AccessMethod::EccFault, 450,
+     {520432u, 129507u, 103680u, 3138u, 0u, 4096u, 3868u, 6440u,
+      1614u, 0u, 0u, 267747u, 239162u, 983800u, 5796000u, 0u}},
+    {"migratory", AccessMethod::Informing, 450,
+     {483254u, 129507u, 103680u, 4898u, 3868u, 0u, 3867u, 6432u,
+      1619u, 0u, 0u, 267747u, 256887u, 224319u, 5788800u, 0u}},
+    {"migratory", AccessMethod::Hardware, 450,
+     {465542u, 129507u, 103680u, 3196u, 0u, 0u, 3972u, 6641u,
+      1672u, 0u, 0u, 267747u, 241192u, 0u, 5976900u, 0u}},
+    {"readmostly", AccessMethod::ReferenceCheck, 450,
+     {357058u, 53998u, 43248u, 5708u, 43248u, 0u, 4729u, 4824u,
+      640u, 0u, 0u, 140542u, 253778u, 896689u, 4341600u, 0u}},
+    {"readmostly", AccessMethod::EccFault, 450,
+     {377854u, 53998u, 43248u, 5679u, 0u, 4700u, 4700u, 4795u,
+      641u, 0u, 0u, 140542u, 252763u, 1174040u, 4315500u, 0u}},
+    {"readmostly", AccessMethod::Informing, 450,
+     {319288u, 53998u, 43248u, 5736u, 4712u, 0u, 4712u, 4805u,
+      641u, 0u, 0u, 140542u, 253633u, 273296u, 4324500u, 0u}},
+    {"readmostly", AccessMethod::Hardware, 450,
+     {301959u, 53998u, 43248u, 5679u, 0u, 0u, 4700u, 4794u,
+      641u, 0u, 0u, 140542u, 252763u, 0u, 4314600u, 0u}},
+    {"falseshare", AccessMethod::ReferenceCheck, 450,
+     {1715614u, 45003u, 36000u, 8277u, 36000u, 0u, 14435u, 28704u,
+      7189u, 0u, 0u, 95403u, 334698u, 1008875u, 25833600u, 0u}},
+    {"falseshare", AccessMethod::EccFault, 450,
+     {1868459u, 45003u, 36000u, 8264u, 0u, 14430u, 14430u, 28706u,
+      7176u, 0u, 0u, 95403u, 334243u, 3463500u, 25835400u, 0u}},
+    {"falseshare", AccessMethod::Informing, 450,
+     {1708381u, 45003u, 36000u, 15454u, 14430u, 0u, 14430u, 28706u,
+      7176u, 0u, 0u, 95403u, 406143u, 836940u, 25835400u, 0u}},
+    {"falseshare", AccessMethod::Hardware, 450,
+     {1651459u, 45003u, 36000u, 8264u, 0u, 0u, 14430u, 28706u,
+      7176u, 0u, 0u, 95403u, 334243u, 0u, 25835400u, 0u}},
+    {"stencil", AccessMethod::ReferenceCheck, 1800,
+     {2441926u, 101855u, 81536u, 6080u, 81536u, 0u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 314655u, 1696448u, 36403200u, 471138u}},
+    {"stencil", AccessMethod::EccFault, 1800,
+     {2649650u, 101855u, 81536u, 6080u, 0u, 21344u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 314655u, 5010240u, 36403200u, 480930u}},
+    {"stencil", AccessMethod::Informing, 1800,
+     {2371478u, 101855u, 81536u, 10176u, 9152u, 0u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 355615u, 530816u, 36403200u, 468642u}},
+    {"stencil", AccessMethod::Hardware, 1800,
+     {2335510u, 101855u, 81536u, 6080u, 0u, 0u, 9152u, 10112u,
+      480u, 0u, 0u, 183775u, 314655u, 0u, 36403200u, 464930u}},
+    {"prodcons", AccessMethod::ReferenceCheck, 1800,
+     {1464829u, 61434u, 49152u, 5121u, 49152u, 0u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240644u, 987136u, 22118400u, 1874u}},
+    {"prodcons", AccessMethod::EccFault, 1800,
+     {1505973u, 61434u, 49152u, 5120u, 0u, 5536u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240634u, 1314240u, 22118400u, 333084u}},
+    {"prodcons", AccessMethod::Informing, 1800,
+     {1417981u, 61434u, 49152u, 5121u, 4096u, 0u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240644u, 237568u, 22118400u, 1874u}},
+    {"prodcons", AccessMethod::Hardware, 1800,
+     {1403133u, 61434u, 49152u, 5121u, 0u, 0u, 4096u, 6144u,
+      1024u, 0u, 0u, 86010u, 240644u, 0u, 22118400u, 1874u}},
+    {"migratory", AccessMethod::ReferenceCheck, 1800,
+     {1746205u, 129507u, 103680u, 3048u, 103680u, 0u, 3736u, 6241u,
+      1524u, 0u, 0u, 267747u, 236012u, 1959640u, 22467600u, 0u}},
+    {"migratory", AccessMethod::EccFault, 1800,
+     {1931607u, 129507u, 103680u, 3134u, 0u, 4121u, 3878u, 6471u,
+      1612u, 0u, 0u, 267747u, 239072u, 989530u, 23295600u, 0u}},
+    {"migratory", AccessMethod::Informing, 1800,
+     {1890135u, 129507u, 103680u, 4899u, 3869u, 0u, 3868u, 6427u,
+      1623u, 0u, 0u, 267747u, 256997u, 224377u, 23137200u, 0u}},
+    {"migratory", AccessMethod::Hardware, 1800,
+     {1652257u, 129507u, 103680u, 3118u, 0u, 0u, 3818u, 6329u,
+      1594u, 0u, 0u, 267747u, 238462u, 0u, 22784400u, 0u}},
+    {"readmostly", AccessMethod::ReferenceCheck, 1800,
+     {1193396u, 53998u, 43248u, 5686u, 43248u, 0u, 4707u, 4802u,
+      640u, 0u, 0u, 140542u, 253008u, 896139u, 17287200u, 0u}},
+    {"readmostly", AccessMethod::EccFault, 1800,
+     {1201607u, 53998u, 43248u, 5678u, 0u, 4699u, 4699u, 4794u,
+      640u, 0u, 0u, 140542u, 252728u, 1173790u, 17258400u, 0u}},
+    {"readmostly", AccessMethod::Informing, 1800,
+     {1147331u, 53998u, 43248u, 5728u, 4704u, 0u, 4704u, 4798u,
+      640u, 0u, 0u, 140542u, 253353u, 272832u, 17272800u, 0u}},
+    {"readmostly", AccessMethod::Hardware, 1800,
+     {1133621u, 53998u, 43248u, 5677u, 0u, 0u, 4698u, 4793u,
+      640u, 0u, 0u, 140542u, 252693u, 0u, 17254800u, 0u}},
+    {"falseshare", AccessMethod::ReferenceCheck, 1800,
+     {6591814u, 45003u, 36000u, 8277u, 36000u, 0u, 14435u, 28704u,
+      7189u, 0u, 0u, 95403u, 334698u, 1008875u, 103334400u, 0u}},
+    {"falseshare", AccessMethod::EccFault, 1800,
+     {6741959u, 45003u, 36000u, 8264u, 0u, 14430u, 14430u, 28706u,
+      7176u, 0u, 0u, 95403u, 334243u, 3463500u, 103341600u, 0u}},
+    {"falseshare", AccessMethod::Informing, 1800,
+     {6581881u, 45003u, 36000u, 15454u, 14430u, 0u, 14430u, 28706u,
+      7176u, 0u, 0u, 95403u, 406143u, 836940u, 103341600u, 0u}},
+    {"falseshare", AccessMethod::Hardware, 1800,
+     {6524959u, 45003u, 36000u, 8264u, 0u, 0u, 14430u, 28706u,
+      7176u, 0u, 0u, 95403u, 334243u, 0u, 103341600u, 0u}},
+};
+
+std::array<std::uint64_t, 16>
+countersOf(const CoherenceResult &r)
+{
+    return {r.execTime, r.refs, r.sharedRefs, r.l1Misses, r.lookups,
+            r.faults, r.protocolEvents, r.networkRounds, r.invalidations,
+            r.droppedInvalidations, r.delayedAcks, r.computeCycles,
+            r.memoryCycles, r.accessControlCycles, r.networkCycles,
+            r.barrierWaitCycles};
+}
+
+TEST(Schedule, GoldenCountersForEveryKernelMethodAndLatency)
+{
+    const auto kernels = makeAllKernels(smallParams());
+    ASSERT_EQ(std::size(goldenRuns), 2 * kernels.size() * 4);
+    for (const GoldenRun &g : goldenRuns) {
+        const auto wl = std::find_if(
+            kernels.begin(), kernels.end(),
+            [&](const ParallelWorkload &k) { return k.name == g.kernel; });
+        ASSERT_NE(wl, kernels.end()) << g.kernel;
+        CoherenceParams cp;
+        cp.messageLatency = g.messageLatency;
+        CoherentMachine machine(cp, g.method);
+        EXPECT_EQ(countersOf(machine.run(*wl)), g.counters)
+            << g.kernel << " " << accessMethodName(g.method) << " latency "
+            << g.messageLatency;
+    }
+}
+
+/** Two processors, no barrier before the contended block unless
+ *  @p barrier_first: p0 reads block A, p1 writes it. */
+ParallelWorkload
+tieWorkload(bool barrier_first)
+{
+    const Addr a = 0x10000000;
+    const TraceItem barrier{TraceItem::Kind::Barrier, 0, false, false, 0};
+    const TraceItem read_a{TraceItem::Kind::Ref, a, false, true, 0};
+    const TraceItem write_a{TraceItem::Kind::Ref, a, true, true, 0};
+    // p1 arrives at the barrier later, so only the release equalizes
+    // the two clocks.
+    const TraceItem busy{TraceItem::Kind::Ref, 0x2000, false, false, 40};
+
+    ParallelWorkload wl;
+    wl.name = barrier_first ? "tie-after-barrier" : "tie-at-start";
+    if (barrier_first)
+        wl.streams = {{barrier, read_a}, {busy, barrier, write_a}};
+    else
+        wl.streams = {{read_a}, {write_a}};
+    return wl;
+}
+
+CoherenceParams
+twoProcs()
+{
+    CoherenceParams cp;
+    cp.processors = 2;
+    return cp;
+}
+
+TEST(Schedule, EqualClocksStepTheLowestProcessorFirst)
+{
+    // p0's read goes first, so p1's write must invalidate p0's copy.
+    // Had p1 gone first, p0's read would only downgrade the owner.
+    CoherentMachine machine(twoProcs(), AccessMethod::Informing);
+    const CoherenceResult r = machine.run(tieWorkload(false));
+    EXPECT_EQ(r.refs, 2u);
+    EXPECT_EQ(r.invalidations, 1u);
+}
+
+TEST(Schedule, EqualPostBarrierClocksStepTheLowestProcessorFirst)
+{
+    CoherentMachine machine(twoProcs(), AccessMethod::Informing);
+    const CoherenceResult r = machine.run(tieWorkload(true));
+    EXPECT_EQ(r.refs, 3u);
+    EXPECT_GT(r.barrierWaitCycles, 0u);
+    EXPECT_EQ(r.invalidations, 1u);
 }
 
 } // namespace
