@@ -194,7 +194,7 @@ runSharedPassImpl(const isa::Program &program,
     }
 
     exec.setRefSink(nullptr);
-    engine.sync(); // settle deferred L2 work before reading counters
+    engine.sync(); // no capture span may be left open
 
     const func::ExecStats &es = exec.stats();
     for (std::size_t m = 0; m < members.size(); ++m) {

@@ -25,9 +25,10 @@
  *    what a dedicated pass would seed its windows with;
  *  - a window's timing model consumes TraceRecords, whose only
  *    geometry-dependent field is `level`; the engine reproduces
- *    FunctionalHierarchy::access exactly (property-tested and
- *    IMO_PARANOID_XCHECK-replayed), so the patched records equal the
- *    records the member's own executor would have produced.
+ *    FunctionalHierarchy::access exactly (property-tested, and the
+ *    IMO_PARANOID_XCHECK build replays every reference through a
+ *    dedicated FunctionalHierarchy per config), so the patched records
+ *    equal the records the member's own executor would have produced.
  *
  * Sampler::runFromSharedPass() then folds the per-member samples into
  * estimates indistinguishable from Sampler::run().

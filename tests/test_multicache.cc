@@ -141,6 +141,38 @@ struct Mirror
     }
 };
 
+/** Feed @p m @p events random references from @p rng,
+ *  alternating captured and uncaptured spans of 1000 events so both the
+ *  logged and the unlogged paths are exercised, then check counters. */
+void
+runRandomStream(Mirror &m, std::mt19937_64 &rng, int events)
+{
+    memory::MultiCacheSim sim(m.cfgs);
+    ASSERT_EQ(sim.numConfigs(), m.cfgs.size());
+    for (int i = 0; i < events; ++i) {
+        if (i % 1000 == 0) {
+            if (i % 2000 == 0)
+                m.beginSpan(sim);
+            else
+                m.endSpan(sim);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        Addr addr = rng();
+        if (i % 3 == 0)
+            addr &= 0xffff; // small footprint: heavy conflicts
+        else if (i % 7 == 0)
+            addr &= 0xfffffff;
+        const bool prefetch = rng() % 10 == 0;
+        const bool write = rng() % 3 == 0;
+        m.step(sim, addr, write, prefetch);
+    }
+    if (m.capturing)
+        m.endSpan(sim);
+    m.checkCounters(sim);
+    EXPECT_GT(sim.accesses(), 0u);
+}
+
 } // namespace
 
 TEST(MultiCache, MatchesDedicatedHierarchyOnRandomStreams)
@@ -155,31 +187,48 @@ TEST(MultiCache, MatchesDedicatedHierarchyOnRandomStreams)
                 shapes[rng() % shapes.size()];
             m.add(l1, randomL2For(l1, rng));
         }
-        memory::MultiCacheSim sim(m.cfgs);
-        ASSERT_EQ(sim.numConfigs(), n);
-        // Alternate captured and uncaptured spans of 1000 events so
-        // both the logged and the purely-deferred paths are exercised.
-        for (int i = 0; i < 20000; ++i) {
-            if (i % 1000 == 0) {
-                if (i % 2000 == 0)
-                    m.beginSpan(sim);
-                else
-                    m.endSpan(sim);
-                if (HasFatalFailure())
-                    return;
-            }
-            Addr addr = rng();
-            if (i % 3 == 0)
-                addr &= 0xffff; // small footprint: heavy conflicts
-            else if (i % 7 == 0)
-                addr &= 0xfffffff;
-            const bool prefetch = rng() % 10 == 0;
-            const bool write = rng() % 3 == 0;
-            m.step(sim, addr, write, prefetch);
-        }
-        m.checkCounters(sim);
-        EXPECT_GT(sim.accesses(), 0u);
+        runRandomStream(m, rng, 20000);
+        if (HasFatalFailure())
+            return;
     }
+}
+
+TEST(MultiCache, SameL1DifferentL2sLogPerConfig)
+{
+    // One L1 class serving two L2 geometries: the class's L1 outcomes
+    // are shared, but each config's L2 levels and memory misses are its
+    // own and must match its own dedicated hierarchy.
+    std::mt19937_64 rng(0x12c0);
+    memory::CacheGeometry l1;
+    l1.lineBytes = 32;
+    l1.assoc = 2;
+    l1.sizeBytes = 32ull * 2 * 64;
+    memory::CacheGeometry small = l1, large = l1;
+    small.assoc = 1;
+    small.sizeBytes = 32ull * 1 * 128;
+    large.assoc = 4;
+    large.sizeBytes = 32ull * 4 * 512;
+    Mirror m;
+    m.add(l1, small);
+    m.add(l1, large);
+    runRandomStream(m, rng, 20000);
+    EXPECT_NE(m.memRefs[0], m.memRefs[1]); // the L2s really differ
+}
+
+TEST(MultiCache, SixtyFourAssociativitiesInOneGroup)
+{
+    // The widest group the engine accepts: every class owns one bit of
+    // the dirty mask, the last one bit 63.
+    std::mt19937_64 rng(0x6464);
+    Mirror m;
+    for (std::uint32_t assoc = 1; assoc <= 64; ++assoc) {
+        memory::CacheGeometry l1;
+        l1.lineBytes = 32;
+        l1.assoc = assoc;
+        l1.sizeBytes = 32ull * assoc * 4; // 4 sets
+        m.add(l1, randomL2For(l1, rng));
+    }
+    runRandomStream(m, rng, 20000);
 }
 
 TEST(MultiCache, AdversarialSetConflictStrides)
@@ -218,7 +267,7 @@ TEST(MultiCache, AdversarialSetConflictStrides)
 
 TEST(MultiCache, MixedLineSizesShareOnePass)
 {
-    // Configs spanning several line sizes build independent forests
+    // Configs spanning several line sizes build independent groups
     // inside one engine; all must classify exactly.
     std::mt19937_64 rng(0x11f0);
     Mirror m;
@@ -255,4 +304,41 @@ TEST(MultiCache, RejectsEmptyAndMalformedConfigs)
     EXPECT_THROW(
         memory::MultiCacheSim({memory::MultiCacheConfig{bad, bad}}),
         SimException);
+
+    auto codeOf = [](auto &&fn) {
+        try {
+            fn();
+        } catch (const SimException &e) {
+            return e.code();
+        }
+        ADD_FAILURE() << "no SimException";
+        return ErrCode::Internal;
+    };
+    memory::CacheGeometry wide;
+    wide.lineBytes = 32;
+    wide.assoc = 256; // one more way than the engine allows
+    wide.sizeBytes = 32ull * 256;
+    EXPECT_EQ(codeOf([&] {
+                  memory::MultiCacheSim({memory::MultiCacheConfig{wide,
+                                                                  wide}});
+              }),
+              ErrCode::BadConfig);
+
+    std::vector<memory::MultiCacheConfig> crowded;
+    for (std::uint32_t assoc = 1; assoc <= 65; ++assoc) {
+        memory::CacheGeometry g;
+        g.lineBytes = 32;
+        g.assoc = assoc;
+        g.sizeBytes = 32ull * assoc * 2; // all at 2 sets: one group
+        crowded.push_back({g, g});
+    }
+    EXPECT_EQ(codeOf([&] { memory::MultiCacheSim{crowded}; }),
+              ErrCode::BadConfig);
+
+    crowded.pop_back(); // 64 associativities is the limit, not over it
+    memory::MultiCacheSim sim(crowded);
+    sim.beginCapture();
+    EXPECT_EQ(codeOf([&] { sim.sync(); }), ErrCode::Internal);
+    sim.endCapture();
+    EXPECT_NO_THROW(sim.sync());
 }
