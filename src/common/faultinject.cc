@@ -1,5 +1,7 @@
 #include "common/faultinject.hh"
 
+#include <cstdlib>
+
 #include "common/checkpoint.hh"
 #include "common/error.hh"
 
@@ -42,6 +44,24 @@ faultPointFromName(const std::string &name, FaultPoint *out)
         }
     }
     return false;
+}
+
+bool
+parseFaultSpec(const std::string &spec, FaultSchedule &schedule)
+{
+    const std::size_t eq = spec.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size())
+        return false;
+    FaultPoint point;
+    if (!faultPointFromName(spec.substr(0, eq), &point))
+        return false;
+    char *end = nullptr;
+    const double prob = std::strtod(spec.c_str() + eq + 1, &end);
+    // Written so that a NaN ("nan") fails the range test too.
+    if (end == nullptr || *end != '\0' || !(prob >= 0.0 && prob <= 1.0))
+        return false;
+    schedule.setProbability(point, prob);
+    return true;
 }
 
 double

@@ -140,6 +140,10 @@ struct FaultSchedule
     bool any() const;
 };
 
+/** Parse a CLI "name=prob" spec, prob in [0, 1], into @p schedule.
+ *  @return false, leaving @p schedule untouched, if it is malformed. */
+bool parseFaultSpec(const std::string &spec, FaultSchedule &schedule);
+
 /** Deterministic per-point fault source. Default-constructed: inert. */
 class FaultInjector
 {

@@ -5,8 +5,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -17,8 +18,7 @@
 
 #include "common/logging.hh"
 #include "farm/transport.hh"
-#include "pipeline/inorder/cpu.hh"
-#include "pipeline/ooo/cpu.hh"
+#include "pipeline/cpu_model.hh"
 #include "sample/livepoint.hh"
 #include "sweep/engine.hh"
 #include "sweep/sweep.hh"
@@ -192,42 +192,40 @@ class WindowLeaseRunner
     sample::WindowSample
     run(const Task &task)
     {
-        if (!_ready || !(task.points.front() == _point))
+        if (!_run || !(task.points.front() == _point))
             rebuild(task.points.front());
         sample::LivePoint point;
         point.warmImage = task.warmImage;
         point.execImage = task.execImage;
-        return _cfg.outOfOrder
-                   ? _ooo->run(point, _sp.warmup, _sp.measure)
-                   : _inorder->run(point, _sp.warmup, _sp.measure);
+        return _run(point);
     }
 
   private:
     void
     rebuild(const sweep::SweepPoint &p)
     {
-        _ready = false;
-        _ooo.reset();
-        _inorder.reset();
+        _run = nullptr;
         _point = p;
         _cfg = p.resolveConfig();
         _sp = sample::SampleParams::parse(p.sample);
         const isa::Program prog = p.buildProgram();
         // The runner keeps a reference to the config, so it must point
         // at the stable member, not a local.
-        if (_cfg.outOfOrder)
-            _ooo.emplace(prog, _cfg);
-        else
-            _inorder.emplace(prog, _cfg);
-        _ready = true;
+        pipeline::withCpuModel(
+            _cfg, [&]<typename Cpu>(std::type_identity<Cpu>) {
+                auto runner =
+                    std::make_shared<sample::WindowRunner<Cpu>>(prog, _cfg);
+                _run = [this, runner](const sample::LivePoint &point) {
+                    return runner->run(point, _sp.warmup, _sp.measure);
+                };
+            });
     }
 
-    bool _ready = false;
     sweep::SweepPoint _point;
     pipeline::MachineConfig _cfg;
     sample::SampleParams _sp;
-    std::optional<sample::WindowRunner<pipeline::OooCpu>> _ooo;
-    std::optional<sample::WindowRunner<pipeline::InOrderCpu>> _inorder;
+    /** Runs one window on the point's model; empty until rebuilt. */
+    std::function<sample::WindowSample(const sample::LivePoint &)> _run;
 };
 
 /** A finished task: its Result bytes and its Stats frame. */

@@ -28,6 +28,9 @@ MachineConfig::check() const
         bad(simFormat("issue width %u is unreasonably large", issueWidth));
     if (outOfOrder && robSize == 0)
         bad("out-of-order machine with an empty reorder buffer");
+    // Only in order may memory operations share the integer units.
+    if (outOfOrder && fus.memUnits == 0)
+        bad("out-of-order machine with no memory unit");
     if (fus.intUnits == 0)
         bad("no integer units");
     if (fus.fpUnits == 0)

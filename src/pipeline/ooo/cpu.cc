@@ -1,21 +1,13 @@
 #include "pipeline/ooo/cpu.hh"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
-#include "branch/predictor.hh"
 #include "common/checkpoint.hh"
-#include "common/diagring.hh"
 #include "common/error.hh"
-#include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "isa/instruction.hh"
-#include "memory/timing.hh"
-#include "obs/observer.hh"
-#include "pipeline/pipe_stats.hh"
-#include "pipeline/timing_util.hh"
-#include "pipeline/watchdog.hh"
+#include "pipeline/core_timing.hh"
 
 namespace imo::pipeline
 {
@@ -23,66 +15,26 @@ namespace imo::pipeline
 using isa::Op;
 using isa::OpClass;
 
-namespace
-{
-
-FuGroup
-fuGroupOf(OpClass cls)
-{
-    switch (cls) {
-      case OpClass::IntAlu: case OpClass::IntMul: case OpClass::IntDiv:
-        return FuGroup::Int;
-      case OpClass::FpAlu: case OpClass::FpDiv: case OpClass::FpSqrt:
-        return FuGroup::Fp;
-      case OpClass::Branch: case OpClass::Jump:
-        return FuGroup::Branch;
-      case OpClass::Load: case OpClass::Store: case OpClass::Prefetch:
-        return FuGroup::Mem;
-      default:
-        return FuGroup::None;
-    }
-}
-
-} // anonymous namespace
-
 /** All mutable state of one out-of-order timing run. */
-struct OooCpu::Timing
+struct OooCpu::Timing : CoreTiming
 {
     explicit Timing(const MachineConfig &cfg)
-        : fetch(cfg.issueWidth, cfg.takenBranchBubble),
+        : CoreTiming(cfg),
           dispatchPort(cfg.issueWidth,
                        {cfg.issueWidth, cfg.issueWidth, cfg.issueWidth,
                         cfg.issueWidth, cfg.issueWidth}),
-          ledger(cfg.issueWidth), mem(cfg.mem),
-          bimodal(cfg.predictorEntries), gshare(cfg.predictorEntries),
-          ring(32), fuInt(cfg.fus.intUnits), fuFp(cfg.fus.fpUnits),
-          fuBr(cfg.fus.branchUnits),
-          fuMem(std::max<std::uint32_t>(cfg.fus.memUnits, 1)),
+          fuInt(cfg.fus.intUnits), fuFp(cfg.fus.fpUnits),
+          fuBr(cfg.fus.branchUnits), fuMem(cfg.fus.memUnits),
           gradHistory(cfg.robSize, 0)
     {
-        mem.setFaultInjector(cfg.faults);
-        obs = cfg.obs;
-        trace = obs ? obs->traceSink() : nullptr;
-        mem.setTraceSink(trace);
     }
 
-    FetchEngine fetch;
     InOrderIssuePort dispatchPort;
-    GraduationLedger ledger;
-    memory::TimingMemorySystem mem;
-    branch::TwoBitPredictor bimodal;
-    branch::GsharePredictor gshare;
-    DiagRing ring;
 
     SlotTable fuInt;
     SlotTable fuFp;
     SlotTable fuBr;
     SlotTable fuMem;
-
-    // Renamed register file: availability time of the newest version.
-    std::array<Cycle, isa::numUnifiedRegs> regReady{};
-    Cycle ccReady = 0;
-    Cycle mhrrReady = 0;
 
     // Reorder buffer occupancy: graduation cycle per slot.
     std::vector<Cycle> gradHistory;
@@ -90,28 +42,20 @@ struct OooCpu::Timing
     // Unresolved predicted branches (shadow-state checkpoints).
     std::vector<Cycle> outstandingBranches;
 
-    // Informing trap service measurement: dispatch cycle of the trap
-    // whose RETMH has not yet completed (handlers cannot nest).
-    bool trapPending = false;
-    Cycle trapDispatch = 0;
-
     std::uint64_t index = 0;
     Cycle lastWrongPathAddr = 0;
-    PipeStats pipe;  //!< live counters; RunResult derives from these
-    obs::Observer *obs = nullptr;
-    obs::TraceSink *trace = nullptr;
 };
 
-OooCpu::OooCpu(const MachineConfig &config) : _config(config)
+OooCpu::OooCpu(const MachineConfig &config) : CpuCore(config)
 {
     sim_throw_if(!config.outOfOrder, ErrCode::BadConfig,
                  "OooCpu given an in-order configuration '%s'",
                  config.name.c_str());
     sim_throw_if(config.robSize == 0, ErrCode::BadConfig,
                  "reorder buffer must be nonempty");
+    sim_throw_if(config.fus.memUnits == 0, ErrCode::BadConfig,
+                 "out-of-order machine needs a memory unit");
 }
-
-OooCpu::~OooCpu() = default;
 
 void
 OooCpu::reset()
@@ -122,69 +66,18 @@ OooCpu::reset()
 std::uint64_t
 OooCpu::retired() const
 {
-    return _t ? _t->index : 0;
-}
-
-void
-OooCpu::warmCondBranch(InstAddr pc, bool taken)
-{
-    panic_if(!_t, "OooCpu::warmCondBranch before reset()");
-    // update() only: warming must leave accuracy statistics untouched
-    // (no lookup happened in the pipeline) while keeping the counter
-    // table — and gshare's global history — exactly as trained.
-    if (_config.useGshare)
-        _t->gshare.update(pc, taken);
-    else
-        _t->bimodal.update(pc, taken);
-}
-
-void
-OooCpu::saveWarmState(Serializer &s) const
-{
-    panic_if(!_t, "OooCpu::saveWarmState before reset()");
-    _t->bimodal.save(s);
-    _t->gshare.save(s);
-}
-
-void
-OooCpu::restoreWarmState(Deserializer &d)
-{
-    panic_if(!_t, "OooCpu::restoreWarmState before reset()");
-    _t->bimodal.restore(d);
-    _t->gshare.restore(d);
-}
-
-void
-OooCpu::copyWarmState(const OooCpu &from)
-{
-    panic_if(!_t || !from._t, "OooCpu::copyWarmState before reset()");
-    sim_throw_if(from._config.predictorEntries != _config.predictorEntries,
-                 ErrCode::BadConfig,
-                 "warm state of a %u-entry predictor cannot seed a "
-                 "%u-entry one", from._config.predictorEntries,
-                 _config.predictorEntries);
-    _t->bimodal = from._t->bimodal;
-    _t->gshare = from._t->gshare;
+    return _t ? static_cast<const Timing &>(*_t).index : 0;
 }
 
 bool
 OooCpu::step(func::TraceSource &src)
 {
     panic_if(!_t, "OooCpu::step before reset()");
-    Timing &t = *_t;
+    Timing &t = static_cast<Timing &>(*_t);
     const MachineConfig &cfg = _config;
-    const Cycle watchdog = cfg.watchdogCycles;
     const bool branch_style =
         cfg.trapDispatch == TrapDispatch::BranchStyle;
 
-    auto predict_and_update = [&](InstAddr pc, bool taken) {
-        bool correct = cfg.useGshare
-            ? t.gshare.predictAndUpdate(pc, taken)
-            : t.bimodal.predictAndUpdate(pc, taken);
-        if (cfg.faults && cfg.faults->fire(FaultPoint::MispredictStorm))
-            correct = false;
-        return correct;
-    };
     auto fu_for = [&](FuGroup g) -> SlotTable * {
         switch (g) {
           case FuGroup::Int: return &t.fuInt;
@@ -201,7 +94,7 @@ OooCpu::step(func::TraceSource &src)
 
     const isa::Instruction &in = r.inst;
     const OpClass cls = isa::opClass(in.op);
-    const FuGroup group = fuGroupOf(cls);
+    const FuGroup group = fuGroupOf(cls, cfg.fus);
 
     const Cycle fc = t.fetch.fetchNext();
     Cycle d = fc + cfg.frontendDepth;
@@ -250,7 +143,7 @@ OooCpu::step(func::TraceSource &src)
               static_cast<std::uint64_t>(in.op));
 
     Cycle complete = issue + cfg.lat.forClass(cls);
-    bool cache_reason = false;
+    bool cache_stall = false;
     Cycle resolve_for_checkpoint = 0;
     memory::MshrRef mshr_ref;
 
@@ -258,79 +151,23 @@ OooCpu::step(func::TraceSource &src)
       case OpClass::Load:
       case OpClass::Store:
       case OpClass::Prefetch: {
-        // Retry structural-hazard rejections (bank/MSHR busy); a
-        // reference that is rejected forever is a livelock the
-        // watchdog converts into a structured Deadlock error.
-        Cycle probe = issue;
-        memory::MemRequestResult mr;
-        for (;;) {
-            mr = t.mem.request(r.addr, r.level, probe);
-            if (mr.accepted)
-                break;
-            probe = std::max(mr.retryCycle, probe + 1);
-            if (watchdog && probe > issue + watchdog) {
-                t.ring.push(probe, "stuck-ref", r.pc,
-                            t.mem.mshrFile().busyEntries(probe));
-                raiseDeadlock(t.ring, simFormat(
-                    "memory reference at pc %u (addr %#llx) "
-                    "rejected for %llu cycles (MSHR/bank livelock; "
-                    "%u of %u MSHRs busy)",
-                    r.pc, static_cast<unsigned long long>(r.addr),
-                    static_cast<unsigned long long>(probe - issue),
-                    t.mem.mshrFile().busyEntries(probe),
-                    t.mem.mshrFile().capacity()));
-            }
-        }
-        t.ring.push(probe, "mem-accept", r.pc, r.addr);
-        const Cycle miss_detect = probe + 1;
-        const bool missed = r.level != MemLevel::L1;
-
-        if (cls == OpClass::Load) {
-            complete = std::max(mr.dataReady, probe + 1);
-            cache_reason = missed;
-        } else {
-            complete = probe + 1;
-        }
-        resolve_for_checkpoint = miss_detect;
-
+        const MemAccess a = t.access(cfg, r, cls, issue);
+        complete = a.complete;
+        cache_stall = a.cacheStall;
+        resolve_for_checkpoint = a.missDetect;
+        // A prefetch is fire and forget: no result, trap or MSHR pin.
         if (isa::isDataRef(in.op)) {
-            ++t.pipe.dataRefs;
-            if (missed) {
-                ++t.pipe.l1Misses;
-                if (t.obs) {
-                    t.obs->profiler.noteMiss(
-                        r.pc, r.level == MemLevel::Memory,
-                        mr.dataReady > probe ? mr.dataReady - probe : 0,
-                        r.trapped);
-                }
-            }
-            t.ccReady = miss_detect;
-
-            const int rd = isa::dstReg(in);
-            if (rd >= 0)
+            if (const int rd = isa::dstReg(in); rd >= 0)
                 t.regReady[rd] = complete;
-
-            if (r.trapped) {
-                ++t.pipe.traps;
-                t.ring.push(miss_detect, "trap", r.pc, r.addr);
-                if (branch_style) {
-                    // Redirect like a mispredicted branch as soon
-                    // as the miss is detected.
-                    t.mhrrReady = miss_detect + 1;
-                    t.fetch.gate(miss_detect + cfg.redirectPenalty);
-                    t.trapPending = true;
-                    t.trapDispatch = miss_detect;
-                    IMO_TRACE(t.trace, miss_detect, obs::Cat::Trap,
-                              "trap-enter", r.pc, r.addr);
-                }
-                // Exception-style dispatch is applied after this
-                // instruction's graduation (below).
+            if (r.trapped && branch_style) {
+                // Redirect like a mispredicted branch as soon as the
+                // miss is detected. Exception-style dispatch is
+                // applied after this instruction's graduation (below).
+                t.mhrrReady = a.missDetect + 1;
+                t.fetch.gate(a.missDetect + cfg.redirectPenalty);
+                t.enterTrap(r, a.missDetect);
             }
-
-            mshr_ref = mr.mshr;
-        } else {
-            // Prefetch: fire and forget.
-            complete = probe + 1;
+            mshr_ref = a.mshr;
         }
         break;
       }
@@ -347,35 +184,26 @@ OooCpu::step(func::TraceSource &src)
                 t.mhrrReady = resolve + 1;
                 t.fetch.gate(resolve + cfg.redirectPenalty);
             }
-        } else {
-            const bool correct = predict_and_update(r.pc, r.taken);
-            if (!correct) {
-                ++t.pipe.mispredicts;
-                t.fetch.gate(resolve + cfg.redirectPenalty);
-                t.ring.push(resolve, "mispredict", r.pc, r.taken);
-                IMO_TRACE(t.trace, resolve, obs::Cat::Fetch, "mispredict",
-                          r.pc, r.taken);
-                if (_wrongPathProbes > 0) {
-                    // Inject squashed speculative line fetches past
-                    // the mispredicted branch (section 3.3). They
-                    // execute as soon as the wrong-path loads could
-                    // issue (right after dispatch) and are squashed
-                    // when the branch resolves; fills that complete
-                    // in between must be invalidated.
-                    for (std::uint32_t p = 0; p < _wrongPathProbes;
-                         ++p) {
-                        const Addr a = r.addr + 0x4000 +
-                            (++t.lastWrongPathAddr *
-                             cfg.mem.lineBytes);
-                        memory::MemRequestResult wr = t.mem.request(
-                            a, MemLevel::L2, d + 1);
-                        if (wr.accepted && wr.mshr.valid())
-                            t.mem.notifySquashed(wr.mshr, resolve);
-                    }
+        } else if (!t.predictBranch(cfg, r, resolve)) {
+            t.fetch.gate(resolve + cfg.redirectPenalty);
+            if (_wrongPathProbes > 0) {
+                // Inject squashed speculative line fetches past the
+                // mispredicted branch (section 3.3). They execute as
+                // soon as the wrong-path loads could issue (right
+                // after dispatch) and are squashed when the branch
+                // resolves; fills that complete in between must be
+                // invalidated.
+                for (std::uint32_t p = 0; p < _wrongPathProbes; ++p) {
+                    const Addr a = r.addr + 0x4000 +
+                        (++t.lastWrongPathAddr * cfg.mem.lineBytes);
+                    memory::MemRequestResult wr = t.mem.request(
+                        a, MemLevel::L2, d + 1);
+                    if (wr.accepted && wr.mshr.valid())
+                        t.mem.notifySquashed(wr.mshr, resolve);
                 }
-            } else if (r.taken) {
-                t.fetch.redirectTaken(fc);
             }
+        } else if (r.taken) {
+            t.fetch.redirectTaken(fc);
         }
         break;
       }
@@ -387,12 +215,7 @@ OooCpu::step(func::TraceSource &src)
         } else {
             t.fetch.redirectTaken(fc);
         }
-        if (in.op == Op::RETMH && t.trapPending) {
-            t.pipe.trapService.sample(complete - t.trapDispatch);
-            t.trapPending = false;
-            IMO_TRACE(t.trace, t.trapDispatch, obs::Cat::Trap, "trap-exit",
-                      r.pc, 0, 0, complete - t.trapDispatch);
-        }
+        t.noteTrapExit(r, complete);
         if (const int rd = isa::dstReg(in); rd >= 0)
             t.regReady[rd] = complete;
         break;
@@ -412,9 +235,6 @@ OooCpu::step(func::TraceSource &src)
     if (needs_checkpoint && cfg.maxUnresolvedBranches > 0)
         t.outstandingBranches.push_back(resolve_for_checkpoint);
 
-    if (r.handlerCode)
-        ++t.pipe.handlerInstructions;
-
     if (isa::isDataRef(in.op) && r.trapped && !branch_style) {
         // Exception-style informing dispatch: postponed until the
         // reference reaches the head of the reorder buffer (all
@@ -426,39 +246,11 @@ OooCpu::step(func::TraceSource &src)
             std::max(resolve_for_checkpoint, t.ledger.lastCycle());
         t.mhrrReady = at_head + cfg.exceptionFlushPenalty;
         t.fetch.gate(at_head + cfg.exceptionFlushPenalty);
-        t.trapPending = true;
-        t.trapDispatch = at_head + cfg.exceptionFlushPenalty;
-        IMO_TRACE(t.trace, t.trapDispatch, obs::Cat::Trap, "trap-enter",
-                  r.pc, r.addr);
+        t.enterTrap(r, at_head + cfg.exceptionFlushPenalty);
     }
 
-    // Retirement watchdog: a completion time that runs away from
-    // the graduation frontier means nothing will retire for an
-    // implausibly long time (e.g. a stuck fill).
-    if (watchdog && complete > t.ledger.lastCycle() + watchdog) {
-        t.ring.push(complete, "no-retire", r.pc, t.ledger.lastCycle());
-        raiseDeadlock(t.ring, simFormat(
-            "no retirement for %llu cycles: pc %u completes at "
-            "cycle %llu, last graduation at %llu",
-            static_cast<unsigned long long>(
-                complete - t.ledger.lastCycle()),
-            r.pc, static_cast<unsigned long long>(complete),
-            static_cast<unsigned long long>(t.ledger.lastCycle())));
-    }
-
-    t.ring.push(complete, "grad", r.pc,
-                static_cast<std::uint64_t>(in.op));
-    IMO_TRACE(t.trace, complete, obs::Cat::Grad, "grad", r.pc,
-              static_cast<std::uint64_t>(in.op));
-    Cycle grad;
-    if (t.obs && cache_reason) {
-        const std::uint64_t before = t.ledger.cacheStallSlots();
-        grad = t.ledger.graduate(complete + 1, cache_reason);
-        t.obs->profiler.noteStall(r.pc,
-                                  t.ledger.cacheStallSlots() - before);
-    } else {
-        grad = t.ledger.graduate(complete + 1, cache_reason);
-    }
+    // A reorder-buffer entry graduates the cycle after it completes.
+    const Cycle grad = t.retire(cfg, r, complete, complete + 1, cache_stall);
     t.gradHistory[t.index % cfg.robSize] = grad;
 
     // With the extended MSHR lifetime of section 3.3, demand-miss
@@ -480,78 +272,11 @@ OooCpu::step(func::TraceSource &src)
     return true;
 }
 
-RunResult
-OooCpu::result() const
-{
-    if (!_t) {
-        RunResult res;
-        res.machine = _config.name;
-        res.issueWidth = _config.issueWidth;
-        return res;
-    }
-    const Timing &t = *_t;
-    RunResult res;
-    res.machine = _config.name;
-    res.issueWidth = _config.issueWidth;
-    res.dataRefs = t.pipe.dataRefs.value();
-    res.l1Misses = t.pipe.l1Misses.value();
-    res.traps = t.pipe.traps.value();
-    res.replayTraps = t.pipe.replayTraps.value();
-    res.condBranches = t.pipe.condBranches.value();
-    res.mispredicts = t.pipe.mispredicts.value();
-    res.handlerInstructions = t.pipe.handlerInstructions.value();
-    res.cycles = t.ledger.totalCycles();
-    res.instructions = t.ledger.graduated();
-    res.cacheStallSlots = t.ledger.cacheStallSlots();
-    res.otherStallSlots = t.ledger.otherStallSlots();
-    res.mshrFullRejects = t.mem.mshrFile().fullRejects();
-    res.bankConflicts = t.mem.bankConflicts();
-    res.squashInvalidations = t.mem.mshrFile().squashInvalidations();
-    return res;
-}
-
-void
-OooCpu::registerStats(stats::StatGroup &parent)
-{
-    panic_if(!_t, "OooCpu::registerStats before reset()");
-    Timing *t = _t.get();
-    auto &g = parent.childGroup("cpu");
-    g.make<stats::Value>("cycles", "total simulated cycles",
-                         [t] { return t->ledger.totalCycles(); });
-    g.make<stats::Value>("instructions", "instructions graduated",
-                         [t] { return t->ledger.graduated(); });
-    g.make<stats::Value>("cache_stall_slots",
-                         "graduation slots lost to cache misses",
-                         [t] { return t->ledger.cacheStallSlots(); });
-    g.make<stats::Value>("other_stall_slots",
-                         "graduation slots lost to other causes",
-                         [t] { return t->ledger.otherStallSlots(); });
-    g.make<stats::Derived>("ipc", "instructions per cycle", [t] {
-        const Cycle c = t->ledger.totalCycles();
-        return c ? static_cast<double>(t->ledger.graduated()) / c : 0.0;
-    });
-    g.adoptChild(t->pipe.group);
-    if (_config.useGshare)
-        t->gshare.registerStats(g, "predictor");
-    else
-        t->bimodal.registerStats(g, "predictor");
-    t->mem.registerStats(g);
-}
-
-RunResult
-OooCpu::run(func::TraceSource &src)
-{
-    reset();
-    while (step(src)) {
-    }
-    return result();
-}
-
 void
 OooCpu::save(Serializer &s) const
 {
     panic_if(!_t, "OooCpu::save before reset()");
-    const Timing &t = *_t;
+    const Timing &t = static_cast<const Timing &>(*_t);
     s.u32(_wrongPathProbes);
     t.fetch.save(s);
     t.dispatchPort.save(s);
@@ -583,7 +308,7 @@ void
 OooCpu::restore(Deserializer &d)
 {
     reset();
-    Timing &t = *_t;
+    Timing &t = static_cast<Timing &>(*_t);
     _wrongPathProbes = d.u32();
     t.fetch.restore(d);
     t.dispatchPort.restore(d);

@@ -2,7 +2,7 @@
  * @file
  * PipeStats: the push-side stats both timing models update on their
  * hot path. RunResult's per-run figures are *derived* from this
- * registry (see InOrderCpu::result() / OooCpu::result()) rather than
+ * registry (see CpuCore::result()) rather than
  * maintained in a parallel set of hand-threaded fields, and the whole
  * group round-trips through checkpoints name-checked, so a resumed
  * run's final stats match an uninterrupted run bit-identically.

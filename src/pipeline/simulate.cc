@@ -8,9 +8,8 @@
 #include "common/stats.hh"
 #include "isa/verify.hh"
 #include "obs/observer.hh"
+#include "pipeline/cpu_model.hh"
 #include "pipeline/image.hh"
-#include "pipeline/inorder/cpu.hh"
-#include "pipeline/ooo/cpu.hh"
 
 namespace imo::pipeline
 {
@@ -22,8 +21,7 @@ namespace
 template <typename Cpu>
 RunResult
 drive(Cpu &cpu, func::Executor &exec, const isa::Program &program,
-      const MachineConfig &config, const SimulateOptions &opt,
-      const char *kind)
+      const MachineConfig &config, const SimulateOptions &opt)
 {
     cpu.reset();
 
@@ -39,13 +37,13 @@ drive(Cpu &cpu, func::Executor &exec, const isa::Program &program,
     const bool want_reproducer =
         opt.checkpointOnError && !opt.checkpointOut.empty();
     if (resume) {
-        resumed = restoreImage(*resume, kind, exec, cpu, config.faults);
+        resumed = restoreImage(*resume, Cpu::kind, exec, cpu, config.faults);
         if (want_reproducer)
             last_image = *resume;
     } else if (want_reproducer) {
         // Cold start: until the first periodic image replaces it, the
         // initial state is the failure reproducer.
-        last_image = makeImage(kind, program, exec, cpu, config.faults,
+        last_image = makeImage(Cpu::kind, program, exec, cpu, config.faults,
                                cpu.retired());
     }
 
@@ -60,7 +58,7 @@ drive(Cpu &cpu, func::Executor &exec, const isa::Program &program,
                 if (!opt.checkpointOut.empty()) {
                     writeCheckpointFile(
                         opt.checkpointOut,
-                        makeImage(kind, program, exec, cpu,
+                        makeImage(Cpu::kind, program, exec, cpu,
                                   config.faults, cpu.retired()));
                 }
                 throwSimError(ErrCode::Interrupted,
@@ -74,7 +72,7 @@ drive(Cpu &cpu, func::Executor &exec, const isa::Program &program,
             if (opt.checkpointEvery &&
                 cpu.retired() % opt.checkpointEvery == 0) {
                 std::vector<std::uint8_t> image =
-                    makeImage(kind, program, exec, cpu, config.faults,
+                    makeImage(Cpu::kind, program, exec, cpu, config.faults,
                               cpu.retired());
                 ++taken;
                 if (opt.onCheckpoint)
@@ -99,7 +97,7 @@ drive(Cpu &cpu, func::Executor &exec, const isa::Program &program,
     res.resumedInstructions = resumed;
     if (!opt.checkpointOut.empty()) {
         writeCheckpointFile(opt.checkpointOut,
-                            makeImage(kind, program, exec, cpu,
+                            makeImage(Cpu::kind, program, exec, cpu,
                                       config.faults, cpu.retired()));
     }
     return res;
@@ -154,28 +152,17 @@ simulate(const isa::Program &program, const MachineConfig &config,
                                 .l1 = config.l1,
                                 .l2 = config.l2,
                                 .maxInstructions = config.maxInstructions});
-        if (config.outOfOrder) {
-            OooCpu cpu(config);
+        withCpuModel(config, [&]<typename Cpu>(std::type_identity<Cpu>) {
+            Cpu cpu(config);
             try {
-                result = drive(cpu, exec, program, config, options, "ooo");
+                result = drive(cpu, exec, program, config, options);
             } catch (const SimException &e) {
                 result = cpu.result();
                 result.ok = false;
                 result.error = e.error();
             }
             captureStats(config, exec, cpu);
-        } else {
-            InOrderCpu cpu(config);
-            try {
-                result = drive(cpu, exec, program, config, options,
-                               "inorder");
-            } catch (const SimException &e) {
-                result = cpu.result();
-                result.ok = false;
-                result.error = e.error();
-            }
-            captureStats(config, exec, cpu);
-        }
+        });
         result.workload = program.name();
         if (exec_stats)
             *exec_stats = exec.stats();

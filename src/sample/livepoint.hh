@@ -179,16 +179,53 @@ std::vector<std::uint8_t> makeExecImage(const func::Executor &exec);
 void restoreExecImage(const std::vector<std::uint8_t> &image,
                       func::Executor &exec);
 
-/** Step the timing model up to @p n records; @return how many. */
+/**
+ * Step a freshly seeded timing model through one window from @p src:
+ * @p warmup records, then @p measure records whose cycles, misses and
+ * references the sample reports. A window the program's halt cuts
+ * short comes back with fewer records warmed (nothing measured) or
+ * measured than asked for.
+ */
 template <typename Cpu>
-std::uint64_t
-stepWindow(Cpu &cpu, func::TraceSource &src, std::uint64_t n)
+WindowSample
+measureWindow(Cpu &cpu, func::TraceSource &src, std::uint64_t warmup,
+              std::uint64_t measure)
 {
-    std::uint64_t done = 0;
-    while (done < n && cpu.step(src))
-        ++done;
-    return done;
+    const auto step_n = [&](std::uint64_t n) {
+        std::uint64_t done = 0;
+        while (done < n && cpu.step(src))
+            ++done;
+        return done;
+    };
+    WindowSample ws;
+    ws.warmed = step_n(warmup);
+    if (ws.warmed < warmup)
+        return ws;
+    const pipeline::RunResult r0 = cpu.result();
+    ws.measured = step_n(measure);
+    const pipeline::RunResult r1 = cpu.result();
+    ws.cycles = r1.cycles - r0.cycles;
+    ws.misses = r1.l1Misses - r0.l1Misses;
+    ws.refs = r1.dataRefs - r0.dataRefs;
+    return ws;
 }
+
+/** Streams fast-forwarded branch outcomes into @p Cpu's predictor. */
+template <typename Cpu>
+class PredictorWarmer final : public func::WarmSink
+{
+  public:
+    explicit PredictorWarmer(Cpu &cpu) : _cpu(cpu) {}
+
+    void
+    condBranch(InstAddr pc, bool taken) override
+    {
+        _cpu.warmCondBranch(pc, taken);
+    }
+
+  private:
+    Cpu &_cpu;
+};
 
 /**
  * Trace tee for the sequential (interleaved) sampler: forwards records
@@ -264,18 +301,7 @@ class WindowRunner
         Cpu cpu(_config);
         cpu.reset();
         restoreWarmImage(point.warmImage, cpu);
-
-        WindowSample ws;
-        ws.warmed = stepWindow(cpu, _exec, warmup);
-        if (ws.warmed < warmup)
-            return ws; // program halted during warmup
-        const pipeline::RunResult r0 = cpu.result();
-        ws.measured = stepWindow(cpu, _exec, measure);
-        const pipeline::RunResult r1 = cpu.result();
-        ws.cycles = r1.cycles - r0.cycles;
-        ws.misses = r1.l1Misses - r0.l1Misses;
-        ws.refs = r1.dataRefs - r0.dataRefs;
-        return ws;
+        return measureWindow(cpu, _exec, warmup, measure);
     }
 
   private:

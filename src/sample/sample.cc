@@ -10,9 +10,8 @@
 
 #include "common/checkpoint.hh"
 #include "isa/verify.hh"
+#include "pipeline/cpu_model.hh"
 #include "pipeline/image.hh"
-#include "pipeline/inorder/cpu.hh"
-#include "pipeline/ooo/cpu.hh"
 #include "sweep/engine.hh"
 
 namespace imo::sample
@@ -118,28 +117,6 @@ SampleParams::preset(const std::string &name,
     return p;
 }
 
-namespace
-{
-
-/** Streams fast-forwarded branch outcomes into the CPU's predictor. */
-template <typename Cpu>
-class PredictorWarmer final : public func::WarmSink
-{
-  public:
-    explicit PredictorWarmer(Cpu &cpu) : _cpu(cpu) {}
-
-    void
-    condBranch(InstAddr pc, bool taken) override
-    {
-        _cpu.warmCondBranch(pc, taken);
-    }
-
-  private:
-    Cpu &_cpu;
-};
-
-} // anonymous namespace
-
 Sampler::Sampler(isa::Program program,
                  const pipeline::MachineConfig &config,
                  const SampleParams &params)
@@ -239,8 +216,7 @@ Sampler::runPassFromLibrary(const pipeline::SimulateOptions &opt)
 
 template <typename Cpu>
 void
-Sampler::runPass(const char *kind, std::uint32_t pass,
-                 const pipeline::SimulateOptions &opt)
+Sampler::runPass(std::uint32_t pass, const pipeline::SimulateOptions &opt)
 {
     if (_library) {
         runPassFromLibrary<Cpu>(opt);
@@ -268,7 +244,7 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
     }
     if (resume) {
         _est.resumedInstructions =
-            pipeline::restoreImage(*resume, kind, exec, accum,
+            pipeline::restoreImage(*resume, Cpu::kind, exec, accum,
                                    _config.faults);
     }
 
@@ -312,18 +288,7 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
             Cpu win(_config);
             win.reset();
             win.copyWarmState(accum);
-
-            WindowSample ws;
-            ws.warmed = stepWindow(win, tee, W);
-            if (ws.warmed == W) {
-                const pipeline::RunResult r0 = win.result();
-                ws.measured = stepWindow(win, tee, M);
-                const pipeline::RunResult r1 = win.result();
-                ws.cycles = r1.cycles - r0.cycles;
-                ws.misses = r1.l1Misses - r0.l1Misses;
-                ws.refs = r1.dataRefs - r0.dataRefs;
-            }
-            if (!foldWindow(ws))
+            if (!foldWindow(measureWindow(win, tee, W, M)))
                 break;
         }
     } else {
@@ -332,7 +297,7 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
         // window spans), then the windows replay from their live
         // points on the worker pool.
         auto lib = std::make_shared<LivePointLibrary>();
-        lib->kind = kind;
+        lib->kind = Cpu::kind;
         lib->workload = _program.name();
         lib->programFingerprint = _program.fingerprint();
         lib->digest = captureDigest(_config);
@@ -375,17 +340,16 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
         // mode and its bytes do not depend on the jobs count.
         writeCheckpointFile(
             opt.checkpointOut,
-            pipeline::makeImage(kind, _program, exec, accum,
+            pipeline::makeImage(Cpu::kind, _program, exec, accum,
                                 _config.faults, es.instructions));
     }
 }
 
 template <typename Cpu>
 void
-Sampler::runPasses(const char *kind,
-                   const pipeline::SimulateOptions &opt)
+Sampler::runPasses(const pipeline::SimulateOptions &opt)
 {
-    runPass<Cpu>(kind, 0, opt);
+    runPass<Cpu>(0, opt);
     _est.passes = 1;
     // Error-targeted auto-extension: pool more phase-offset passes
     // until the CPI confidence interval meets the target (at least two
@@ -393,7 +357,7 @@ Sampler::runPasses(const char *kind,
     while (_params.targetRelErr > 0.0 && _est.passes < _params.maxPasses &&
            (_cpi.count() < 2 ||
             _cpi.relativeError() > _params.targetRelErr)) {
-        runPass<Cpu>(kind, _est.passes, opt);
+        runPass<Cpu>(_est.passes, opt);
         ++_est.passes;
     }
 }
@@ -459,7 +423,10 @@ libraryMismatch(const LivePointLibrary &lib, const isa::Program &program,
                 const pipeline::MachineConfig &config,
                 const SampleParams &params)
 {
-    const char *kind = config.outOfOrder ? "ooo" : "inorder";
+    const char *kind = pipeline::withCpuModel(
+        config, []<typename Cpu>(std::type_identity<Cpu>) {
+            return Cpu::kind;
+        });
     if (lib.kind != kind) {
         return simFormat("live-point library was captured on a '%s' "
                          "machine, this configuration is '%s'",
@@ -546,10 +513,10 @@ Sampler::run(const pipeline::SimulateOptions &options)
                      "run would bake the resume point into the "
                      "library; capture from a cold start instead");
 
-        if (_config.outOfOrder)
-            runPasses<pipeline::OooCpu>("ooo", options);
-        else
-            runPasses<pipeline::InOrderCpu>("inorder", options);
+        pipeline::withCpuModel(
+            _config, [&]<typename Cpu>(std::type_identity<Cpu>) {
+                runPasses<Cpu>(options);
+            });
 
         finishEstimate();
         xcheckAgainstFull();

@@ -296,11 +296,10 @@ class Sampler
 
   private:
     template <typename Cpu>
-    void runPasses(const char *kind,
-                   const pipeline::SimulateOptions &options);
+    void runPasses(const pipeline::SimulateOptions &options);
 
     template <typename Cpu>
-    void runPass(const char *kind, std::uint32_t pass,
+    void runPass(std::uint32_t pass,
                  const pipeline::SimulateOptions &options);
 
     template <typename Cpu>

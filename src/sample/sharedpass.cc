@@ -3,31 +3,13 @@
 #include "common/error.hh"
 #include "func/executor.hh"
 #include "memory/multicache.hh"
-#include "pipeline/inorder/cpu.hh"
-#include "pipeline/ooo/cpu.hh"
+#include "pipeline/cpu_model.hh"
 
 namespace imo::sample
 {
 
 namespace
 {
-
-/** Forwards warming branch outcomes to the shared accumulator. */
-template <typename Cpu>
-class PredictorWarmer final : public func::WarmSink
-{
-  public:
-    explicit PredictorWarmer(Cpu &cpu) : _cpu(cpu) {}
-
-    void
-    condBranch(InstAddr pc, bool taken) override
-    {
-        _cpu.warmCondBranch(pc, taken);
-    }
-
-  private:
-    Cpu &_cpu;
-};
 
 /**
  * RefSink that drives the multi-config engine with the executor's raw
@@ -175,18 +157,7 @@ runSharedPassImpl(const isa::Program &program,
             Cpu win(members[m]);
             win.reset();
             win.copyWarmState(warm);
-
-            WindowSample ws;
-            ws.warmed = stepWindow(win, src, W);
-            if (ws.warmed == W) {
-                const pipeline::RunResult r0 = win.result();
-                ws.measured = stepWindow(win, src, M);
-                const pipeline::RunResult r1 = win.result();
-                ws.cycles = r1.cycles - r0.cycles;
-                ws.misses = r1.l1Misses - r0.l1Misses;
-                ws.refs = r1.dataRefs - r0.dataRefs;
-            }
-            res.samples[m].push_back(ws);
+            res.samples[m].push_back(measureWindow(win, src, W, M));
         }
 
         if (window.size() < W + M)
@@ -278,11 +249,10 @@ runSharedGeometryPass(const isa::Program &program,
                      "budgets differ");
     }
 
-    if (members[0].outOfOrder)
-        return runSharedPassImpl<pipeline::OooCpu>(program, members,
-                                                   params);
-    return runSharedPassImpl<pipeline::InOrderCpu>(program, members,
-                                                   params);
+    return pipeline::withCpuModel(
+        members[0], [&]<typename Cpu>(std::type_identity<Cpu>) {
+            return runSharedPassImpl<Cpu>(program, members, params);
+        });
 }
 
 } // namespace imo::sample

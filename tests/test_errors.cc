@@ -95,6 +95,18 @@ TEST(ConfigValidate, ZeroRob)
     EXPECT_EQ(validationCode(machine), ErrCode::BadConfig);
 }
 
+// Memory ops may share the integer units only in order; an
+// out-of-order machine without a memory unit is rejected, not given one.
+TEST(ConfigValidate, OooZeroMemUnits)
+{
+    auto machine = pipeline::makeOutOfOrderConfig();
+    machine.fus.memUnits = 0;
+    EXPECT_EQ(validationCode(machine), ErrCode::BadConfig);
+    const auto in_order = pipeline::makeInOrderConfig();
+    EXPECT_EQ(in_order.fus.memUnits, 0u);
+    EXPECT_TRUE(in_order.check().empty());
+}
+
 TEST(ConfigValidate, NonPowerOfTwoLine)
 {
     auto machine = pipeline::makeInOrderConfig();

@@ -33,6 +33,24 @@ TEST(FaultPoints, NamesRoundTrip)
     EXPECT_FALSE(faultPointFromName("no-such-point", &dummy));
 }
 
+TEST(FaultPoints, ParseFaultSpec)
+{
+    for (const char *bad :
+         {"mshr-exhaustion", "=0.5", "mshr-exhaustion=", "no-such-point=0.5",
+          "mshr-exhaustion=1.5", "mshr-exhaustion=-0.1",
+          "mshr-exhaustion=0.5x", "mshr-exhaustion=nan"}) {
+        FaultSchedule s;
+        EXPECT_FALSE(parseFaultSpec(bad, s)) << bad;
+        EXPECT_FALSE(s.any()) << bad;
+    }
+    FaultSchedule s;
+    ASSERT_TRUE(parseFaultSpec("mshr-exhaustion=0.25", s));
+    EXPECT_EQ(s.probabilityOf(FaultPoint::MshrExhaustion), 0.25);
+    ASSERT_TRUE(parseFaultSpec("worker-kill=1", s));
+    EXPECT_EQ(s.probabilityOf(FaultPoint::WorkerKill), 1.0);
+    EXPECT_EQ(s.probabilityOf(FaultPoint::MshrExhaustion), 0.25);
+}
+
 TEST(FaultPoints, DefaultInjectorIsInert)
 {
     FaultInjector inert;

@@ -298,16 +298,4 @@ TEST(Ooo, FasterThanInOrderOnIrregularMissCode)
     EXPECT_GT(ro.ipc(), ri.ipc());
 }
 
-TEST(Ooo, SimulateMatchesExecutorCounts)
-{
-    workloads::WorkloadParams wp;
-    wp.scale = 0.05;
-    const auto prog = workloads::build("eqntott", wp);
-    func::ExecStats es;
-    const RunResult r = pipeline::simulate(prog, cfg(), &es);
-    EXPECT_EQ(r.instructions, es.instructions);
-    EXPECT_EQ(r.dataRefs, es.dataRefs);
-    EXPECT_EQ(r.l1Misses, es.l1Misses);
-}
-
 } // namespace

@@ -1,17 +1,24 @@
 /**
  * @file
  * Property and fuzz tests for the timing models: slot conservation on
- * random traces, determinism, and monotonicity (more cache misses or
- * fewer resources never make a run faster).
+ * random traces, determinism, monotonicity (more cache misses or
+ * fewer resources never make a run faster), and the functional
+ * executor as the architectural oracle for both models.
  */
 
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "pipeline/inorder/cpu.hh"
 #include "pipeline/ooo/cpu.hh"
 #include "pipeline/simulate.hh"
+#include "sweep/sweep.hh"
 #include "trace_helpers.hh"
+#include "workloads/suite.hh"
 
 namespace
 {
@@ -219,5 +226,69 @@ TEST(TimingEdge, SingleBankSerializes)
     const Cycle t2 = c2.run(sb).cycles;
     EXPECT_GT(t1, t2);
 }
+
+
+/** One executor-oracle run: a machine, a suite program, a mode. */
+struct OracleCase
+{
+    std::string machine;
+    std::string workload;
+    core::InformingMode mode;
+};
+
+std::vector<OracleCase>
+oracleCases()
+{
+    std::vector<OracleCase> cases;
+    for (const char *machine : {"ooo", "inorder"}) {
+        for (const workloads::BenchmarkInfo &b : workloads::suite()) {
+            for (const core::InformingMode m :
+                 {core::InformingMode::None, core::InformingMode::TrapSingle,
+                  core::InformingMode::TrapUnique,
+                  core::InformingMode::CondCode})
+                cases.push_back({machine, b.name, m});
+        }
+    }
+    return cases;
+}
+
+void
+PrintTo(const OracleCase &c, std::ostream *os)
+{
+    *os << c.machine << " " << c.workload << " "
+        << core::informingModeName(c.mode);
+}
+
+class ExecutorOracle : public ::testing::TestWithParam<OracleCase>
+{
+};
+
+// The timing models consume the executor's trace, so what they retire
+// and count must be exactly what the executor executed.
+TEST_P(ExecutorOracle, SimulateMatchesExecStats)
+{
+    sweep::SweepPoint p;
+    p.machine = GetParam().machine;
+    p.workload = GetParam().workload;
+    p.mode = GetParam().mode;
+    p.handlerLen = 10;
+    p.scale = 0.05;
+    func::ExecStats es;
+    const RunResult r =
+        pipeline::simulate(p.buildProgram(), p.resolveConfig(), &es);
+    ASSERT_TRUE(r.ok) << r.error.message;
+    EXPECT_EQ(r.instructions, es.instructions);
+    EXPECT_EQ(r.handlerInstructions, es.handlerInstructions);
+    EXPECT_EQ(r.dataRefs, es.dataRefs);
+    EXPECT_EQ(r.l1Misses, es.l1Misses);
+    EXPECT_EQ(r.traps, es.traps);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, ExecutorOracle, ::testing::ValuesIn(oracleCases()),
+    [](const ::testing::TestParamInfo<OracleCase> &info) {
+        return info.param.machine + "_" + info.param.workload + "_" +
+               core::informingModeName(info.param.mode);
+    });
 
 } // namespace

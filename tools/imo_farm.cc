@@ -164,24 +164,6 @@ usage()
     return kExitUsage;
 }
 
-/** Parse "name=prob" into @p schedule; false on malformed input. */
-bool
-parseFaultSpec(const std::string &spec, FaultSchedule &schedule)
-{
-    const std::size_t eq = spec.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size())
-        return false;
-    FaultPoint point;
-    if (!faultPointFromName(spec.substr(0, eq), &point))
-        return false;
-    char *end = nullptr;
-    const double prob = std::strtod(spec.c_str() + eq + 1, &end);
-    if (end == nullptr || *end != '\0' || prob < 0.0 || prob > 1.0)
-        return false;
-    schedule.setProbability(point, prob);
-    return true;
-}
-
 /** Parse "[HOST:]PORT" into the listen options. */
 void
 parseListenSpec(const std::string &spec, farm::FarmOptions &opt)

@@ -263,25 +263,6 @@ steadyMs()
             .count());
 }
 
-/** Parse "name=prob" into @p schedule; false on malformed input. */
-bool
-parseFaultSpec(const std::string &spec, FaultSchedule &schedule)
-{
-    const std::size_t eq = spec.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size())
-        return false;
-    const std::string name = spec.substr(0, eq);
-    FaultPoint point;
-    if (!faultPointFromName(name, &point))
-        return false;
-    char *end = nullptr;
-    const double prob = std::strtod(spec.c_str() + eq + 1, &end);
-    if (end == nullptr || *end != '\0' || prob < 0.0 || prob > 1.0)
-        return false;
-    schedule.setProbability(point, prob);
-    return true;
-}
-
 } // namespace
 
 int
