@@ -221,37 +221,6 @@ BM_LivePointCapture(benchmark::State &state)
 }
 BENCHMARK(BM_LivePointCapture)->Unit(benchmark::kMillisecond);
 
-/** Measuring from a captured library: no functional pass at all, the
- *  windows replay from their live points on Arg(0) worker threads.
- *  Compare against BM_SampledSimulation (the sequential interleaved
- *  run) and BM_LivePointCapture (what producing the library costs). */
-void
-BM_LivePointParallelSample(benchmark::State &state)
-{
-    workloads::WorkloadParams wp;
-    wp.scale = 0.3;
-    const isa::Program prog = workloads::build("espresso", wp);
-    const auto cfg = pipeline::makeOutOfOrderConfig();
-    const sample::SampleParams params;
-
-    sample::Sampler capture(prog, cfg, params);
-    capture.setRetainCapture(true);
-    if (!capture.run().ok)
-        state.SkipWithError("capture pass failed");
-    const auto library = capture.capturedLibrary();
-
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        sample::Sampler sampler(prog, cfg, params);
-        sampler.setLibrary(library);
-        sampler.setJobs(static_cast<unsigned>(state.range(0)));
-        insts += sampler.run().instructions;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(insts));
-}
-BENCHMARK(BM_LivePointParallelSample)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 void
 BM_Instrumentation(benchmark::State &state)
 {

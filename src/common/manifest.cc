@@ -56,13 +56,7 @@ writeManifestJson(std::ostream &os, const Manifest &m)
     emitString(os, "error_message", m.errorMessage);
     os << ",\n \"elapsed_ms\":" << m.elapsedMs
        << ",\n \"points_total\":" << m.pointsTotal
-       << ",\n \"points_done\":" << m.pointsDone << ",\n ";
-    emitString(os, "library_mode", m.libraryMode);
-    os << ",\n ";
-    emitString(os, "library_path", m.libraryPath);
-    os << ",\n ";
-    emitString(os, "library_hash", m.libraryHash);
-    os << ",\n \"library_windows\":" << m.libraryWindows
+       << ",\n \"points_done\":" << m.pointsDone
        << ",\n \"multi_cache_groups\":[";
     for (std::size_t i = 0; i < m.multiCacheGroups.size(); ++i) {
         const MultiCacheGroupEntry &g = m.multiCacheGroups[i];

@@ -32,8 +32,10 @@ namespace imo::manifest
  *  joins the top level.
  *  v3: multi-cache shared-pass provenance — a top-level group table
  *  (configs served, stream length, windows) plus a per-point group
- *  index. */
-constexpr std::uint32_t manifestSchemaVersion = 3;
+ *  index.
+ *  v4: the v2 live-point library provenance leaves the top level (no
+ *  tool reads or writes a library file any more). */
+constexpr std::uint32_t manifestSchemaVersion = 4;
 
 /** Per-point outcome and timings. Fields a tool cannot know stay 0 /
  *  empty and are still emitted (fixed schema beats optional keys). */
@@ -85,13 +87,6 @@ struct Manifest
     std::uint64_t elapsedMs = 0;
     std::uint64_t pointsTotal = 0;
     std::uint64_t pointsDone = 0;
-
-    // Live-point library provenance (sampled runs; see
-    // src/sample/livepoint.hh). Empty/0 when no library was involved.
-    std::string libraryMode; //!< "" | "capture" | "load"
-    std::string libraryPath;
-    std::string libraryHash; //!< contentHash as 16 hex digits
-    std::uint64_t libraryWindows = 0;
 
     /** Multi-cache shared-pass provenance; empty when --multi-cache was
      *  off or nothing grouped. PointEntry::multiCacheGroup indexes it. */

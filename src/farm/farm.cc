@@ -9,7 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
+#include <ostream>
 #include <thread>
 
 #include <poll.h>
@@ -59,10 +59,7 @@ scheduleForSpawn(const FaultSchedule &base, std::uint64_t spawn_index)
 struct Slot
 {
     PointKey key;
-    /** The leased task. A Window task's images stay empty here: the
-     *  grant copies them from @ref library into the lease. */
     Task task;
-    std::shared_ptr<const sample::LivePointLibrary> library;
     std::string desc; //!< describeTask()
 
     std::vector<std::uint8_t> fragment; //!< the task's result bytes
@@ -404,13 +401,6 @@ class Coordinator
         LeaseMsg msg;
         msg.slot = slot;
         msg.task = _slots[slot].task;
-        if (_slots[slot].library) {
-            // Window task: ship the live point with the lease.
-            const sample::LivePoint &lp =
-                _slots[slot].library->points[msg.task.windowIndex];
-            msg.task.warmImage = lp.warmImage;
-            msg.task.execImage = lp.execImage;
-        }
         try {
             w.io->sendFrame(FrameType::Lease, encodeLease(msg));
         } catch (const SimException &) {
@@ -949,9 +939,12 @@ class Coordinator
     SimError _error;
 };
 
-/** Input checks shared by runFarm() and runFarmWindows(). */
-void
-validateFarmOptions(const FarmOptions &options)
+} // anonymous namespace
+
+FarmResult
+runFarm(const std::vector<sweep::SweepPoint> &points,
+        const FarmOptions &options,
+        const volatile std::sig_atomic_t *stop)
 {
     sim_throw_if(options.workers == 0 && !options.listen,
                  ErrCode::BadConfig,
@@ -972,19 +965,73 @@ validateFarmOptions(const FarmOptions &options)
                  static_cast<unsigned long long>(options.leaseMs));
     sim_throw_if(options.minWorkers == 0, ErrCode::BadConfig,
                  "farm: --min-workers must be at least 1");
-}
 
-/**
- * Shared back half of runFarm() / runFarmWindows(): telemetry setup,
- * store pre-hits, the coordinator itself, the post-run integrity pass,
- * and the stats fold. Fills everything in @p res except fragments.
- * @return the driven slots.
- */
-std::vector<Slot>
-driveSlots(std::vector<Slot> slots, const FarmOptions &opt,
-           std::uint64_t farm_start, FarmResult &res,
-           const volatile std::sig_atomic_t *stop)
-{
+    // Telemetry identity: stamp a run id before anything observable
+    // happens (the Challenge frame, progress files, and the manifest
+    // all carry it).
+    FarmOptions opt = options;
+    if (opt.runId.empty())
+        opt.runId = manifest::makeRunId("imo-farm");
+
+    const std::uint64_t farm_start = nowMs();
+    FarmResult res;
+    res.runId = opt.runId;
+    res.stats.points = points.size();
+
+    // Every point is a member of one task of the plan, which is a
+    // pure function of the point list, so a resumed farm derives
+    // identical tasks and keys.
+    const std::vector<std::vector<std::size_t>> tasks =
+        sweep::planTasks(points, opt.multiCache);
+    for (const std::vector<std::size_t> &members : tasks) {
+        if (members.size() > 1) {
+            ++res.stats.multiCacheGroups;
+            res.stats.pointsGrouped += members.size();
+        }
+    }
+
+    // Structurally identical tasks (their lease encoding covers every
+    // keyed field) collapse into one slot, so overlapping grids
+    // simulate once; each point remembers its slot and its position
+    // in the slot's result bundle.
+    struct Seat
+    {
+        std::size_t slot = 0;
+        std::size_t member = 0;
+    };
+    std::vector<Seat> seats(points.size());
+    std::vector<Slot> slots;
+    std::map<std::string, std::size_t> slot_by_struct;
+    for (const std::vector<std::size_t> &members : tasks) {
+        Task task;
+        for (const std::size_t i : members)
+            task.points.push_back(points[i]);
+        const std::vector<std::uint8_t> enc =
+            encodeLease(LeaseMsg{0, task});
+        const auto [it, fresh] = slot_by_struct.emplace(
+            std::string(enc.begin(), enc.end()), slots.size());
+        if (fresh) {
+            Slot s;
+            s.desc = describeTask(task);
+            s.task = std::move(task);
+            slots.push_back(std::move(s));
+        }
+        for (std::size_t k = 0; k < members.size(); ++k)
+            seats[members[k]] = Seat{it->second, k};
+    }
+
+    // Content addressing builds and instruments each task's program,
+    // which can rival a short simulation in cost — so key the distinct
+    // slots in parallel across the worker budget.
+    std::vector<std::function<PointKey()>> key_tasks;
+    key_tasks.reserve(slots.size());
+    for (const Slot &s : slots)
+        key_tasks.emplace_back([&s] { return keyForTask(s.task); });
+    const std::vector<PointKey> keys =
+        sweep::runOrdered(key_tasks, std::max(1u, options.workers));
+    for (std::size_t k = 0; k < slots.size(); ++k)
+        slots[k].key = keys[k];
+
     res.stats.uniqueSlots = slots.size();
 
     FarmTelemetry tel(opt, farm_start);
@@ -1058,85 +1105,6 @@ driveSlots(std::vector<Slot> slots, const FarmOptions &opt,
     tel.dumpStats(res.stats, res.elapsedMs, &res.statsText,
                   &res.statsJson);
     res.slotRecords = tel.takeSlotRecords();
-    return slots;
-}
-
-} // anonymous namespace
-
-FarmResult
-runFarm(const std::vector<sweep::SweepPoint> &points,
-        const FarmOptions &options,
-        const volatile std::sig_atomic_t *stop)
-{
-    validateFarmOptions(options);
-
-    // Telemetry identity: stamp a run id before anything observable
-    // happens (the Challenge frame, progress files, and the manifest
-    // all carry it).
-    FarmOptions opt = options;
-    if (opt.runId.empty())
-        opt.runId = manifest::makeRunId("imo-farm");
-
-    const std::uint64_t farm_start = nowMs();
-    FarmResult res;
-    res.runId = opt.runId;
-    res.stats.points = points.size();
-
-    // Every point is a member of one Points task of the plan, which
-    // is a pure function of the point list, so a resumed farm derives
-    // identical tasks and keys.
-    const std::vector<std::vector<std::size_t>> tasks =
-        sweep::planTasks(points, opt.multiCache);
-    for (const std::vector<std::size_t> &members : tasks) {
-        if (members.size() > 1) {
-            ++res.stats.multiCacheGroups;
-            res.stats.pointsGrouped += members.size();
-        }
-    }
-
-    // Structurally identical tasks (their lease encoding covers every
-    // keyed field) collapse into one slot, so overlapping grids
-    // simulate once; each point remembers its slot and its position
-    // in the slot's result bundle.
-    struct Seat
-    {
-        std::size_t slot = 0;
-        std::size_t member = 0;
-    };
-    std::vector<Seat> seats(points.size());
-    std::vector<Slot> slots;
-    std::map<std::string, std::size_t> slot_by_struct;
-    for (const std::vector<std::size_t> &members : tasks) {
-        Task task;
-        for (const std::size_t i : members)
-            task.points.push_back(points[i]);
-        const std::vector<std::uint8_t> enc =
-            encodeLease(LeaseMsg{0, task});
-        const auto [it, fresh] = slot_by_struct.emplace(
-            std::string(enc.begin(), enc.end()), slots.size());
-        if (fresh) {
-            Slot s;
-            s.desc = describeTask(task);
-            s.task = std::move(task);
-            slots.push_back(std::move(s));
-        }
-        for (std::size_t k = 0; k < members.size(); ++k)
-            seats[members[k]] = Seat{it->second, k};
-    }
-
-    // Content addressing builds and instruments each task's program,
-    // which can rival a short simulation in cost — so key the distinct
-    // slots in parallel across the worker budget.
-    std::vector<std::function<PointKey()>> key_tasks;
-    key_tasks.reserve(slots.size());
-    for (const Slot &s : slots)
-        key_tasks.emplace_back([&s] { return keyForTask(s.task); });
-    const std::vector<PointKey> keys =
-        sweep::runOrdered(key_tasks, std::max(1u, options.workers));
-    for (std::size_t k = 0; k < slots.size(); ++k)
-        slots[k].key = keys[k];
-
-    slots = driveSlots(std::move(slots), opt, farm_start, res, stop);
     if (!res.ok)
         return res;
 
@@ -1162,79 +1130,6 @@ runFarm(const std::vector<sweep::SweepPoint> &points,
     res.fragments.reserve(points.size());
     for (const Seat &seat : seats)
         res.fragments.push_back(split[seat.slot][seat.member]);
-    return res;
-}
-
-FarmResult
-runFarmWindows(const sweep::SweepPoint &point,
-               const std::shared_ptr<const sample::LivePointLibrary>
-                   &library,
-               const FarmOptions &options,
-               const volatile std::sig_atomic_t *stop)
-{
-    validateFarmOptions(options);
-    sim_throw_if(!library, ErrCode::BadConfig,
-                 "farm: window sharding needs a live-point library");
-    sim_throw_if(point.sample.empty(), ErrCode::BadConfig,
-                 "farm: window sharding needs a sampled point "
-                 "(--samples U:W:M)");
-    const isa::Program prog = point.buildProgram();
-    const pipeline::MachineConfig cfg = point.resolveConfig();
-    const sample::SampleParams params =
-        sample::SampleParams::parse(point.sample);
-    const std::string mismatch =
-        sample::libraryMismatch(*library, prog, cfg, params);
-    sim_throw_if(!mismatch.empty(), ErrCode::BadConfig,
-                 "farm: %s", mismatch.c_str());
-
-    FarmOptions opt = options;
-    if (opt.runId.empty())
-        opt.runId = manifest::makeRunId("imo-farm");
-
-    const std::uint64_t farm_start = nowMs();
-    FarmResult res;
-    res.runId = opt.runId;
-    res.stats.points = library->points.size();
-
-    // One Window task per measurement window; the lease ships the
-    // window's live point, so workers need neither the library file
-    // nor any shared filesystem.
-    std::vector<Slot> slots(library->points.size());
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-        Slot &s = slots[w];
-        s.task.kind = Task::Kind::Window;
-        s.task.points = {point};
-        s.task.windowIndex = w;
-        s.task.libraryHash = library->contentHash;
-        s.key = keyForTask(s.task);
-        s.desc = describeTask(s.task);
-        s.library = library;
-    }
-
-    slots = driveSlots(std::move(slots), opt, farm_start, res, stop);
-    if (!res.ok)
-        return res;
-
-    // Fold the shards in window order — the exact merge the sequential
-    // sampler performs — into the point's estimate, then emit its one
-    // report fragment. Byte-identical to imo-sweep over this point.
-    std::vector<sample::WindowSample> samples;
-    samples.reserve(slots.size());
-    for (const Slot &s : slots)
-        samples.push_back(sample::decodeWindowSample(
-            std::string(s.fragment.begin(), s.fragment.end())));
-
-    sample::Sampler sampler(prog, cfg, params);
-    sampler.setLibrary(library);
-
-    sweep::SweepOutcome outcome;
-    outcome.point = point;
-    outcome.estimate = sampler.runFromWindowSamples(samples);
-
-    std::ostringstream fragment;
-    sweep::writePointJson(fragment, outcome);
-    const std::string text = fragment.str();
-    res.fragments.emplace_back(text.begin(), text.end());
     return res;
 }
 

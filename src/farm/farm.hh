@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -184,8 +183,8 @@ struct SlotRecord
     std::uint64_t startMs = 0;     //!< first grant, ms since run start
     std::uint64_t endMs = 0;       //!< result accepted (or store hit)
     std::uint64_t fragmentBytes = 0;
-    /** Members of a multi-point task (0 = a task of one point or a
-     *  window). Drives manifest group provenance. */
+    /** Members of a multi-point task (0 = a task of one point).
+     *  Drives manifest group provenance. */
     std::uint64_t groupMembers = 0;
     std::uint64_t groupConfigs = 0; //!< distinct (L1, L2) classes
 };
@@ -222,28 +221,6 @@ struct FarmResult
 FarmResult runFarm(const std::vector<sweep::SweepPoint> &points,
                    const FarmOptions &options,
                    const volatile std::sig_atomic_t *stop = nullptr);
-
-/**
- * Window-sharded sampled run of one point: every measurement window of
- * @p library becomes its own leased unit of work, so a single sampled
- * point spreads across all workers (and machines) of the farm. The
- * lease/retry/straggler/store machinery is exactly runFarm()'s —
- * each window is a Window task memoized under keyForTask(), duplicate
- * shards are byte-compared, and a resumed farm re-runs only missing
- * windows.
- * On success the shards are folded in window order into the point's
- * estimate, and FarmResult::fragments holds the point's single
- * report-JSON fragment — byte-identical to imo-sweep over this point.
- *
- * Throws SimException(BadConfig) when @p point is not sampled or the
- * library does not match it; the error names the mismatch
- * (sample::libraryMismatch()).
- */
-FarmResult
-runFarmWindows(const sweep::SweepPoint &point,
-               const std::shared_ptr<const sample::LivePointLibrary> &library,
-               const FarmOptions &options,
-               const volatile std::sig_atomic_t *stop = nullptr);
 
 /**
  * Write the merged sweep report from a successful farm run. The bytes

@@ -53,8 +53,10 @@ namespace imo::farm
  *      A Points task (a whole point is a group of one) always answers
  *      with a fragment bundle; a Window task answers with its
  *      WindowSample encoding.
+ *  v7: the Window task is gone: a task is just its points, and a
+ *      lease carries no kind byte and no window fields.
  */
-constexpr std::uint32_t protocolVersion = 6;
+constexpr std::uint32_t protocolVersion = 7;
 
 /** Wire message types. */
 enum class FrameType : std::uint32_t
@@ -161,38 +163,15 @@ std::uint64_t authDigest(const std::string &token, std::uint64_t nonce);
 
 /**
  * One unit of farm work — the body of every lease and the input of
- * every store key.
- *
- *  - Points: one or more sweep points run by sweep::runPointGroup().
- *    A whole point is a Points task of one member; two or more
- *    members share one multi-cache pass. The Result is always a
- *    fragment bundle: one report-JSON fragment per member, in member
- *    order.
- *  - Window: one measurement window of a sampled point. The worker
- *    rebuilds the point's program and config, restores the shipped
- *    live point (warm and executor images), runs the W+M detailed
- *    window, and returns the fixed-width WindowSample encoding. The
- *    library content hash pins which capture the images came from, so
- *    shards of different captures never share a store record.
+ * every store key: one or more sweep points run by
+ * sweep::runPointGroup(). A whole point is a task of one member; two
+ * or more members share one multi-cache pass. The Result is always a
+ * fragment bundle: one report-JSON fragment per member, in member
+ * order.
  */
 struct Task
 {
-    enum class Kind : std::uint8_t
-    {
-        Points = 0,
-        Window = 1,
-    };
-
-    Kind kind = Kind::Points;
-    /** Points: the members (at least one). Window: exactly the one
-     *  point the window belongs to. */
-    std::vector<sweep::SweepPoint> points;
-
-    // Window only.
-    std::uint64_t windowIndex = 0;
-    std::uint64_t libraryHash = 0;       //!< LivePointLibrary::contentHash
-    std::vector<std::uint8_t> warmImage; //!< predictor warm state
-    std::vector<std::uint8_t> execImage; //!< functional executor state
+    std::vector<sweep::SweepPoint> points; //!< at least one
 
     bool operator==(const Task &o) const = default;
 };
@@ -209,8 +188,8 @@ struct LeaseMsg
     Task task;
 };
 
-/** Result: the slot and the task's result bytes (a fragment bundle
- *  for a Points task, a WindowSample encoding for a Window task). */
+/** Result: the slot and the task's result bytes (a fragment
+ *  bundle). */
 struct ResultMsg
 {
     std::uint64_t slot = 0;
@@ -244,9 +223,8 @@ ChallengeMsg decodeChallenge(const std::vector<std::uint8_t> &payload);
 std::vector<std::uint8_t> encodeHello(const HelloMsg &msg);
 HelloMsg decodeHello(const std::vector<std::uint8_t> &payload);
 
-/** A decoded lease is a well-formed task: a Points task with no
- *  members or with window fields, and a Window task with other than
- *  one point or with an empty image, are rejected as WorkerLost. */
+/** A decoded lease is a well-formed task: a task with no points is
+ *  rejected as WorkerLost. */
 std::vector<std::uint8_t> encodeLease(const LeaseMsg &msg);
 LeaseMsg decodeLease(const std::vector<std::uint8_t> &payload);
 
@@ -262,9 +240,9 @@ ErrorMsg decodeError(const std::vector<std::uint8_t> &payload);
 std::vector<std::uint8_t> encodeStats(const StatsMsg &msg);
 StatsMsg decodeStats(const std::vector<std::uint8_t> &payload);
 
-/** Fragment bundle: the Result payload of a Points task — every
+/** Fragment bundle: the Result payload of a task — every
  *  member's report-JSON fragment, in member order, in one
- *  length-checked container. Also the store record of a Points slot,
+ *  length-checked container. Also the store record of a slot,
  *  so memoized results split identically. */
 std::vector<std::uint8_t>
 encodeFragmentBundle(const std::vector<std::vector<std::uint8_t>> &fragments);

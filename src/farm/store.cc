@@ -101,21 +101,16 @@ keyForTask(const Task &task)
                  "result store: cannot key a task without points");
     PointKey key;
     Fnv64 cfg;
-    // Domain tag of the v6 task records. Records written under earlier
-    // formats (a raw point fragment, not a bundle) never match it.
+    // Domain tag of the task records, then the kind tag the v6 format
+    // gave its (then only surviving) Points kind, kept as a constant
+    // so records written since v6 stay valid. Records written under
+    // earlier formats (a raw point fragment, not a bundle) never match.
     cfg.str("farm-task");
-    cfg.u32(static_cast<std::uint32_t>(task.kind));
+    cfg.u32(0);
     cfg.u64(task.points.size());
     for (const sweep::SweepPoint &p : task.points)
         mixPoint(cfg, p);
-
-    if (task.kind == Task::Kind::Window) {
-        cfg.u64(task.windowIndex);
-        key.programHash = task.libraryHash;
-    } else {
-        key.programHash =
-            task.points.front().buildProgram().fingerprint();
-    }
+    key.programHash = task.points.front().buildProgram().fingerprint();
     key.configHash = cfg.value();
     key.schemaVersion = sweep::reportSchemaVersion;
     return key;

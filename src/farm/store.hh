@@ -9,7 +9,7 @@
  *
  *   (config hash, program hash, report-schema version)
  *
- * (keyForTask() says what each component digests per task kind).
+ * (keyForTask() says what each component digests).
  * Repeated or overlapping sweeps — the common case for a shared
  * service — become store hits instead of simulations, and an
  * interrupted farm resumes from the records already on disk.
@@ -51,18 +51,12 @@ struct PointKey
 };
 
 /**
- * Compute the content address of @p task. The config hash digests the
- * task kind and every member point in order (plus the window index of
- * a Window task) under one domain tag. The program hash is:
- *
- *  - Points: the fingerprint of the instrumented program, built once
- *    from the first member — members of a multi-point task share it
- *    by the multi-cache grouping key. A workload-generator change thus
- *    invalidates exactly the affected records.
- *  - Window: the library's content hash, which already pins the
- *    program fingerprint, the capture digest and the U:W:M schedule,
- *    so shards of different captures never share a record. No
- *    program is built.
+ * Compute the content address of @p task. The config hash digests
+ * every member point in order under one domain tag. The program hash
+ * is the fingerprint of the instrumented program, built once from the
+ * first member — members of a multi-point task share it by the
+ * multi-cache grouping key. A workload-generator change thus
+ * invalidates exactly the affected records.
  *
  * The result depends only on the task (and the binary's workload
  * generators), never on wall clock or host.
@@ -70,7 +64,7 @@ struct PointKey
  */
 PointKey keyForTask(const Task &task);
 
-/** keyForTask() of the one-point Points task: the key runFarm()
+/** keyForTask() of the one-point task: the key runFarm()
  *  stores a whole point under. */
 PointKey keyForPoint(const sweep::SweepPoint &point);
 

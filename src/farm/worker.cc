@@ -5,8 +5,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -18,9 +16,6 @@
 
 #include "common/logging.hh"
 #include "farm/transport.hh"
-#include "pipeline/cpu_model.hh"
-#include "sample/livepoint.hh"
-#include "sweep/engine.hh"
 #include "sweep/sweep.hh"
 
 namespace imo::farm
@@ -172,62 +167,6 @@ hangUntilPeerGone(int rfd, const volatile std::sig_atomic_t *stop)
     }
 }
 
-/**
- * Executes Window tasks, caching the expensive per-point setup — the
- * instrumented program, machine config, and the executor inside the
- * WindowRunner — across consecutive leases of the same sweep point.
- * The coordinator shards one capture's windows across workers, so a
- * session typically sees a long run of leases whose point is
- * identical; rebuilding the workload and instrumenting it per window
- * would rival the window itself. Each run() is still a pure function
- * of the lease bytes (restoreExecImage() overwrites all executor
- * state), so shards of one capture produce identical samples wherever
- * they run; restoreExecImage() rejects images whose program
- * fingerprint disagrees with the rebuilt program (deterministic
- * BadCheckpoint).
- */
-class WindowLeaseRunner
-{
-  public:
-    sample::WindowSample
-    run(const Task &task)
-    {
-        if (!_run || !(task.points.front() == _point))
-            rebuild(task.points.front());
-        sample::LivePoint point;
-        point.warmImage = task.warmImage;
-        point.execImage = task.execImage;
-        return _run(point);
-    }
-
-  private:
-    void
-    rebuild(const sweep::SweepPoint &p)
-    {
-        _run = nullptr;
-        _point = p;
-        _cfg = p.resolveConfig();
-        _sp = sample::SampleParams::parse(p.sample);
-        const isa::Program prog = p.buildProgram();
-        // The runner keeps a reference to the config, so it must point
-        // at the stable member, not a local.
-        pipeline::withCpuModel(
-            _cfg, [&]<typename Cpu>(std::type_identity<Cpu>) {
-                auto runner =
-                    std::make_shared<sample::WindowRunner<Cpu>>(prog, _cfg);
-                _run = [this, runner](const sample::LivePoint &point) {
-                    return runner->run(point, _sp.warmup, _sp.measure);
-                };
-            });
-    }
-
-    sweep::SweepPoint _point;
-    pipeline::MachineConfig _cfg;
-    sample::SampleParams _sp;
-    /** Runs one window on the point's model; empty until rebuilt. */
-    std::function<sample::WindowSample(const sample::LivePoint &)> _run;
-};
-
 /** A finished task: its Result bytes and its Stats frame. */
 struct TaskOutput
 {
@@ -236,44 +175,31 @@ struct TaskOutput
 };
 
 /**
- * Run one task. A Points task answers with a fragment bundle (one
- * report fragment per member); a Window task answers with the
- * fixed-width WindowSample encoding, which the coordinator folds into
- * the point's estimate itself. The stats carry simulated cycles and
- * instructions (zeros for a sampled point, whose result is an
- * estimate); the result bytes stay the only source of truth for the
- * merged report.
+ * Run one task: a fragment bundle (one report fragment per member).
+ * The stats carry simulated cycles and instructions (zeros for a
+ * sampled point, whose result is an estimate); the result bytes stay
+ * the only source of truth for the merged report.
  */
 TaskOutput
-runTask(const Task &task, WindowLeaseRunner &windows)
+runTask(const Task &task)
 {
     TaskOutput out;
     std::uint64_t cycles = 0, instructions = 0;
     const std::uint64_t t0 = steadyMs();
-    std::uint64_t t1 = t0;
-    if (task.kind == Task::Kind::Window) {
-        const sample::WindowSample ws = windows.run(task);
-        t1 = steadyMs();
-        const std::string text = sample::encodeWindowSample(ws);
-        out.bytes.assign(text.begin(), text.end());
-        cycles = ws.cycles;
-        instructions = ws.measured;
-    } else {
-        const std::vector<sweep::SweepOutcome> outcomes =
-            sweep::runPointGroup(task.points);
-        t1 = steadyMs();
-        std::vector<std::vector<std::uint8_t>> frags;
-        frags.reserve(outcomes.size());
-        for (const sweep::SweepOutcome &o : outcomes) {
-            std::ostringstream one;
-            sweep::writePointJson(one, o);
-            const std::string text = one.str();
-            frags.emplace_back(text.begin(), text.end());
-            cycles += o.result.cycles;
-            instructions += o.result.instructions;
-        }
-        out.bytes = encodeFragmentBundle(frags);
+    const std::vector<sweep::SweepOutcome> outcomes =
+        sweep::runPointGroup(task.points);
+    const std::uint64_t t1 = steadyMs();
+    std::vector<std::vector<std::uint8_t>> frags;
+    frags.reserve(outcomes.size());
+    for (const sweep::SweepOutcome &o : outcomes) {
+        std::ostringstream one;
+        sweep::writePointJson(one, o);
+        const std::string text = one.str();
+        frags.emplace_back(text.begin(), text.end());
+        cycles += o.result.cycles;
+        instructions += o.result.instructions;
     }
+    out.bytes = encodeFragmentBundle(frags);
     out.stats.simulateMs = t1 - t0;
     out.stats.serializeMs = steadyMs() - t1;
     out.stats.statsJson = simFormat(
@@ -338,7 +264,6 @@ serveSession(int rfd, int wfd, const SessionParams &params,
     writer.sendRaw(hello_frame);
 
     // --- Lease loop -------------------------------------------------
-    WindowLeaseRunner window_runner;
     for (;;) {
         switch (waitFrame(rfd, &frame, stop)) {
           case Wait::Eof: return SessionEnd::PeerClosed;
@@ -408,7 +333,7 @@ serveSession(int rfd, int wfd, const SessionParams &params,
         bool sim_ok = true;
         SimError sim_err;
         try {
-            output = runTask(lease.task, window_runner);
+            output = runTask(lease.task);
         } catch (const SimException &e) {
             sim_ok = false;
             sim_err = e.error();

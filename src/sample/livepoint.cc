@@ -173,40 +173,6 @@ parseLibrary(std::vector<std::uint8_t> image)
     return lib;
 }
 
-void
-writeLibraryFile(const std::string &path, LivePointLibrary &lib)
-{
-    writeCheckpointFile(path, serializeLibrary(lib));
-}
-
-LivePointLibrary
-loadLibraryFile(const std::string &path)
-{
-    return parseLibrary(Deserializer::readFile(path));
-}
-
-std::string
-encodeWindowSample(const WindowSample &ws)
-{
-    const std::uint64_t fields[5] = {ws.warmed, ws.measured, ws.cycles,
-                                     ws.misses, ws.refs};
-    std::string s(sizeof(fields), '\0');
-    std::memcpy(s.data(), fields, sizeof(fields));
-    return s;
-}
-
-WindowSample
-decodeWindowSample(const std::string &s)
-{
-    std::uint64_t fields[5];
-    sim_throw_if(s.size() != sizeof(fields), ErrCode::BadCheckpoint,
-                 "window sample is %zu bytes, expected %zu",
-                 s.size(), sizeof(fields));
-    std::memcpy(fields, s.data(), sizeof(fields));
-    return WindowSample{fields[0], fields[1], fields[2], fields[3],
-                        fields[4]};
-}
-
 std::vector<std::uint8_t>
 makeExecImage(const func::Executor &exec)
 {

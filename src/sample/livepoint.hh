@@ -1,8 +1,7 @@
 /**
  * @file
- * Live-point library: serialized per-window starting states that make
- * sampled simulation embarrassingly parallel (TurboSMARTS-style,
- * applied to this reproduction's two-phase engine).
+ * Live-point library: serialized per-window starting states
+ * (TurboSMARTS-style, applied to this reproduction's two-phase engine).
  *
  * A *live point* is everything a measurement window needs to run in
  * isolation, captured at the window's warmup boundary during one
@@ -17,10 +16,9 @@
  * Both timing models hold no other state a window depends on: pipeline
  * occupancy, MSHR residency, and the BTB are short-lived and are
  * re-established by the window's detailed warmup span, so a window is
- * a pure function of (machine config, live point, W, M). Windows can
- * therefore run in any order, on any thread, or on any machine, and
- * folding their samples in window order reproduces the sequential
- * sampler's estimate bit for bit.
+ * a pure function of (machine config, live point, W, M), and folding
+ * the samples in window order reproduces the sequential sampler's
+ * estimate bit for bit.
  *
  * A library is a checkpoint container (common/checkpoint.hh framing:
  * versioned, named sections, per-section CRC) with three sections:
@@ -112,9 +110,8 @@ struct LivePointLibrary
     ExactTotals totals;
     std::vector<LivePoint> points;
 
-    /** FNV-1a of the serialized image; identifies the library contents
-     *  for result-store keying and farm shard validation. Filled by
-     *  serializeLibrary() / parseLibrary(). */
+    /** FNV-1a of the serialized image; identifies the library
+     *  contents. Filled by serializeLibrary() / parseLibrary(). */
     std::uint64_t contentHash = 0;
 };
 
@@ -125,13 +122,7 @@ std::vector<std::uint8_t> serializeLibrary(LivePointLibrary &lib);
  *  @throw SimException(BadCheckpoint) on any corruption. */
 LivePointLibrary parseLibrary(std::vector<std::uint8_t> image);
 
-/** Write @p lib to @p path (atomically: temp+rename). */
-void writeLibraryFile(const std::string &path, LivePointLibrary &lib);
-
-/** Load a library file. @throw SimException(BadCheckpoint). */
-LivePointLibrary loadLibraryFile(const std::string &path);
-
-/** The outcome of one detailed window (the parallel unit of work). */
+/** The outcome of one detailed window. */
 struct WindowSample
 {
     std::uint64_t warmed = 0;   //!< warmup instructions stepped (<W: halt)
@@ -140,12 +131,6 @@ struct WindowSample
     std::uint64_t misses = 0;   //!< L1 misses in the measured span
     std::uint64_t refs = 0;     //!< data references in the measured span
 };
-
-/** Fixed-width little-endian encoding (the farm wire/store format). */
-std::string encodeWindowSample(const WindowSample &ws);
-
-/** @throw SimException(BadCheckpoint) unless @p s decodes exactly. */
-WindowSample decodeWindowSample(const std::string &s);
 
 // --- Image helpers ---------------------------------------------------
 
@@ -275,8 +260,7 @@ class WarmingTraceSource final : public func::TraceSource
  * and data-memory arrays) while restoreExecImage() overwrites every
  * piece of executor state, so each run() is still a pure function of
  * (config, point, W, M) — byte-identical to a fresh-executor run —
- * but a worker draining many windows pays the construction once.
- * One runner per thread; run() itself is not thread-safe.
+ * but a sampler draining many windows pays the construction once.
  */
 template <typename Cpu>
 class WindowRunner
@@ -308,26 +292,6 @@ class WindowRunner
     const pipeline::MachineConfig &_config;
     func::Executor _exec;
 };
-
-/**
- * Run one detailed window from a live point: a fresh executor replays
- * the window's instruction stream from the saved boundary and a fresh
- * timing model, seeded with the warm state, steps W warmup then M
- * measured instructions. Pure function of its arguments — safe to call
- * concurrently from any thread (every simulator object is local).
- * Batch consumers should hold a WindowRunner instead and amortize the
- * executor construction.
- */
-template <typename Cpu>
-WindowSample
-runLivePointWindow(const isa::Program &program,
-                   const pipeline::MachineConfig &config,
-                   const LivePoint &point, std::uint64_t warmup,
-                   std::uint64_t measure)
-{
-    WindowRunner<Cpu> runner(program, config);
-    return runner.run(point, warmup, measure);
-}
 
 } // namespace imo::sample
 

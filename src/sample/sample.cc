@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "isa/verify.hh"
 #include "pipeline/cpu_model.hh"
 #include "pipeline/image.hh"
-#include "sweep/engine.hh"
 
 namespace imo::sample
 {
@@ -149,19 +147,14 @@ Sampler::foldWindow(const WindowSample &ws)
 }
 
 void
-Sampler::foldWindowSamples(const std::vector<WindowSample> &samples,
-                           const std::vector<std::uint8_t> *completed)
+Sampler::checkStop(const pipeline::SimulateOptions &opt) const
 {
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        if (completed && !(*completed)[i]) [[unlikely]] {
-            // A cooperative stop left this and later windows unrun;
-            // run() surfaces it as a structured Interrupted failure.
-            throwSimError(ErrCode::Interrupted,
-                          "interrupted after %llu sampled windows",
-                          static_cast<unsigned long long>(_cpi.count()));
-        }
-        if (!foldWindow(samples[i]))
-            break;
+    if (opt.stopFlag && *opt.stopFlag) [[unlikely]] {
+        // Graceful stop between windows; run() surfaces it as a
+        // structured Interrupted estimate failure.
+        throwSimError(ErrCode::Interrupted,
+                      "interrupted after %llu sampled windows",
+                      static_cast<unsigned long long>(_cpi.count()));
     }
 }
 
@@ -170,30 +163,16 @@ void
 Sampler::runWindows(const std::vector<LivePoint> &points,
                     const pipeline::SimulateOptions &opt)
 {
-    // One WindowRunner per worker: every restore overwrites the whole
+    // One runner for every window: each restore overwrites the whole
     // executor, so samples stay pure functions of their live points
     // while the expensive executor construction (program copy, cache
-    // and page arrays) happens once per worker, not once per window.
-    const std::function<WindowRunner<Cpu>()> make_runner = [this] {
-        return WindowRunner<Cpu>(_program, _config);
-    };
-    std::vector<std::function<WindowSample(WindowRunner<Cpu> &)>> tasks;
-    tasks.reserve(points.size());
+    // and page arrays) happens once.
+    WindowRunner<Cpu> runner(_program, _config);
     for (const LivePoint &p : points) {
-        tasks.push_back([this, &p](WindowRunner<Cpu> &runner) {
-            return runner.run(p, _params.warmup, _params.measure);
-        });
+        checkStop(opt);
+        if (!foldWindow(runner.run(p, _params.warmup, _params.measure)))
+            break;
     }
-    // runOrderedWith writes each window's sample into its input slot,
-    // so the fold below sees them in window order no matter how the
-    // pool scheduled them — that, plus every window being a pure
-    // function of its live point, is the whole byte-identity argument.
-    std::vector<std::uint8_t> completed;
-    const std::vector<WindowSample> samples =
-        sweep::runOrderedWith<WindowSample, WindowRunner<Cpu>>(
-            make_runner, tasks, std::max(1u, _jobs), opt.stopFlag,
-            &completed);
-    foldWindowSamples(samples, &completed);
 }
 
 template <typename Cpu>
@@ -261,26 +240,14 @@ Sampler::runPass(std::uint32_t pass, const pipeline::SimulateOptions &opt)
     std::uint64_t gap =
         U + U * pass / std::max<std::uint32_t>(_params.maxPasses, 1);
 
-    auto check_stop = [&] {
-        if (opt.stopFlag && *opt.stopFlag) [[unlikely]] {
-            // Graceful stop between windows; run() surfaces it as a
-            // structured Interrupted estimate failure.
-            throwSimError(ErrCode::Interrupted,
-                          "interrupted after %llu sampled windows",
-                          static_cast<unsigned long long>(_cpi.count()));
-        }
-    };
-
-    const bool capture =
-        _jobs > 1 || !_captureOut.empty() || _retainCapture;
-    if (!capture) {
+    if (!_retainCapture) {
         // Interleaved mode: each window runs in place on the live
         // executor, on a fresh machine seeded with the accumulator's
         // warm state. The tee keeps the accumulator warm across the
         // window span; no machine state is ever serialized.
         WarmingTraceSource<Cpu> tee(exec, accum);
         for (;;) {
-            check_stop();
+            checkStop(opt);
             if (exec.fastForward(gap, &warmer) < gap)
                 break; // program halted inside the gap
             gap = U;
@@ -295,7 +262,7 @@ Sampler::runPass(std::uint32_t pass, const pipeline::SimulateOptions &opt)
         // Capture mode: the functional pass snapshots a live point at
         // every window boundary (fast-forwarding straight through the
         // window spans), then the windows replay from their live
-        // points on the worker pool.
+        // points.
         auto lib = std::make_shared<LivePointLibrary>();
         lib->kind = Cpu::kind;
         lib->workload = _program.name();
@@ -305,7 +272,7 @@ Sampler::runPass(std::uint32_t pass, const pipeline::SimulateOptions &opt)
         lib->warmup = W;
         lib->measure = M;
         for (;;) {
-            check_stop();
+            checkStop(opt);
             if (exec.fastForward(gap, &warmer) < gap)
                 break;
             gap = U;
@@ -317,11 +284,8 @@ Sampler::runPass(std::uint32_t pass, const pipeline::SimulateOptions &opt)
         const func::ExecStats &cs = exec.stats();
         lib->totals = ExactTotals{cs.instructions, cs.dataRefs,
                                   cs.l1Misses, cs.traps};
-        if (pass == 0) {
-            if (!_captureOut.empty())
-                writeLibraryFile(_captureOut, *lib);
+        if (pass == 0)
             _captured = lib;
-        }
         runWindows<Cpu>(lib->points, opt);
     }
 
@@ -337,7 +301,7 @@ Sampler::runPass(std::uint32_t pass, const pipeline::SimulateOptions &opt)
     if (pass == 0 && !opt.checkpointOut.empty()) {
         // The accumulator is quiesced (it only ever received warming
         // updates), so the image is taken at a valid boundary in every
-        // mode and its bytes do not depend on the jobs count.
+        // mode.
         writeCheckpointFile(
             opt.checkpointOut,
             pipeline::makeImage(Cpu::kind, _program, exec, accum,
@@ -506,12 +470,6 @@ Sampler::run(const pipeline::SimulateOptions &options)
                          "sampling from a live-point library (no "
                          "functional pass runs)");
         }
-        sim_throw_if(!_captureOut.empty() &&
-                     (!options.checkpointIn.empty() ||
-                      options.resumeImage), ErrCode::BadConfig,
-                     "capturing a live-point library from a resumed "
-                     "run would bake the resume point into the "
-                     "library; capture from a cold start instead");
 
         pipeline::withCpuModel(
             _config, [&]<typename Cpu>(std::type_identity<Cpu>) {
@@ -524,46 +482,27 @@ Sampler::run(const pipeline::SimulateOptions &options)
 }
 
 SampleEstimate
-Sampler::runFromWindowSamples(const std::vector<WindowSample> &samples)
-{
-    return guarded([&] {
-        sim_throw_if(!_library, ErrCode::BadConfig,
-                     "runFromWindowSamples needs setLibrary(): the "
-                     "samples are meaningless without the library "
-                     "that produced them");
-        validateLibrary();
-        sim_throw_if(samples.size() != _library->points.size(),
-                     ErrCode::BadConfig,
-                     "%zu window samples for a %zu-window library",
-                     samples.size(), _library->points.size());
-        foldExternal(_library->totals, samples);
-    });
-}
-
-SampleEstimate
 Sampler::runFromSharedPass(const ExactTotals &totals,
                            const std::vector<WindowSample> &samples)
 {
-    return guarded([&] { foldExternal(totals, samples); });
-}
+    return guarded([&] {
+        // Mirror the interleaved pass exactly: fold in window order
+        // and stop at the first truncated window (program halt).
+        // foldWindow() never reads the totals, so they may be applied
+        // in any order.
+        for (const WindowSample &ws : samples)
+            if (!foldWindow(ws))
+                break;
 
-void
-Sampler::foldExternal(const ExactTotals &totals,
-                      const std::vector<WindowSample> &samples)
-{
-    // Mirror the interleaved pass exactly: fold in window order and
-    // stop at the first truncated window (program halt). foldWindow()
-    // never reads the totals, so they may be applied in any order.
-    foldWindowSamples(samples, nullptr);
+        _est.instructions = totals.instructions;
+        _est.dataRefs = totals.dataRefs;
+        _est.l1Misses = totals.l1Misses;
+        _est.traps = totals.traps;
+        _est.passes = 1;
 
-    _est.instructions = totals.instructions;
-    _est.dataRefs = totals.dataRefs;
-    _est.l1Misses = totals.l1Misses;
-    _est.traps = totals.traps;
-    _est.passes = 1;
-
-    finishEstimate();
-    xcheckAgainstFull();
+        finishEstimate();
+        xcheckAgainstFull();
+    });
 }
 
 void

@@ -33,15 +33,14 @@
  * with the warm predictor state a continuously warmed "accumulator"
  * machine has reached at the window's boundary; short-lived state
  * (pipeline occupancy, MSHRs, BTB) is re-established by the W warmup
- * span. Windows are therefore independent by construction, which is
- * what makes them embarrassingly parallel (sample/livepoint.hh): the
- * controller runs them interleaved with the functional pass (the
- * sequential fast path), or captures per-window live points and runs
- * them on a thread pool (setJobs), or skips the functional pass
- * entirely and replays a previously captured library (setLibrary).
- * All three modes fold the same per-window samples in the same order,
- * so their estimates — and any report derived from them — are
- * byte-identical.
+ * span. Windows are therefore independent by construction
+ * (sample/livepoint.hh): the controller runs them interleaved with the
+ * functional pass (the sequential path), or captures per-window live
+ * points in memory and runs them after the pass (setRetainCapture), or
+ * skips the functional pass entirely and replays a captured library
+ * (setLibrary). All three modes fold the same per-window samples in the
+ * same order, so their estimates — and any report derived from them —
+ * are byte-identical.
  *
  * Under -DIMO_PARANOID_XCHECK=ON every run() additionally performs the
  * full detailed simulation and asserts the sampled CPI and miss-rate
@@ -192,8 +191,7 @@ struct SampleEstimate
  * fingerprint, the captureDigest() of the cache/predictor geometry and
  * the U:W:M schedule must all agree. Returns the first mismatch's
  * reason, or an empty string when the library matches. The one
- * library-match policy: Sampler throws the reason before a replay, and
- * sweep::libraryMatchesPoint() asks whether it is empty.
+ * library-match policy: Sampler throws the reason before a replay.
  */
 std::string libraryMismatch(const LivePointLibrary &library,
                             const isa::Program &program,
@@ -221,19 +219,9 @@ class Sampler
     Sampler(isa::Program program, const pipeline::MachineConfig &config,
             const SampleParams &params);
 
-    /**
-     * Worker threads for the detailed-window phase. 0 and 1 both mean
-     * sequential; >1 switches run() to capture mode (one functional
-     * pass collects live points, then the windows run on a pool).
-     * Reports are byte-identical for every value.
-     */
-    void setJobs(unsigned jobs) { _jobs = jobs; }
-
-    /** Write the pass-0 live-point library to @p path (.imolib). */
-    void setCaptureOut(std::string path) { _captureOut = std::move(path); }
-
-    /** Keep the pass-0 library in memory (capturedLibrary()) even when
-     *  no capture file was requested. */
+    /** Capture mode: the functional pass snapshots a live point at
+     *  every window boundary, then the windows run from those points,
+     *  and the pass-0 library stays in memory (capturedLibrary()). */
     void setRetainCapture(bool retain) { _retainCapture = retain; }
 
     /**
@@ -262,16 +250,6 @@ class Sampler
 
     /** Execute the sampling schedule. @return the pooled estimate. */
     SampleEstimate run(const pipeline::SimulateOptions &options = {});
-
-    /**
-     * Fold externally produced window samples (a farm's shards) into
-     * an estimate, exactly as run() would have folded locally executed
-     * windows. Requires setLibrary(); @p samples must hold one entry
-     * per library point, in window order. After those checks it is
-     * runFromSharedPass() under the library's exact totals.
-     */
-    SampleEstimate
-    runFromWindowSamples(const std::vector<WindowSample> &samples);
 
     /**
      * Fold the window samples a shared multi-configuration reference
@@ -305,7 +283,7 @@ class Sampler
     template <typename Cpu>
     void runPassFromLibrary(const pipeline::SimulateOptions &options);
 
-    /** Run the windows of @p points (inline or pooled) and fold them. */
+    /** Run the windows of @p points in order and fold them. */
     template <typename Cpu>
     void runWindows(const std::vector<LivePoint> &points,
                     const pipeline::SimulateOptions &options);
@@ -316,16 +294,9 @@ class Sampler
     template <typename Body>
     SampleEstimate guarded(Body &&body);
 
-    /** The one fold of externally run windows (farm shards, shared
-     *  passes): fold @p samples in window order, apply the exact
-     *  @p totals as a single pass, and finish the estimate. */
-    void foldExternal(const ExactTotals &totals,
-                      const std::vector<WindowSample> &samples);
-
-    /** Fold @p samples in window order; @p completed (when non-null)
-     *  marks slots skipped by a cooperative stop. */
-    void foldWindowSamples(const std::vector<WindowSample> &samples,
-                           const std::vector<std::uint8_t> *completed);
+    /** @throw SimException(Interrupted) once @p options' stop flag
+     *  is set; called between windows. */
+    void checkStop(const pipeline::SimulateOptions &options) const;
 
     /** Fold one window. @return false when the pass must stop (the
      *  program halted inside the window). */
@@ -345,8 +316,6 @@ class Sampler
     pipeline::MachineConfig _config;
     SampleParams _params;
 
-    unsigned _jobs = 1;
-    std::string _captureOut;
     bool _retainCapture = false;
     std::shared_ptr<const LivePointLibrary> _library;
     std::shared_ptr<const LivePointLibrary> _captured;

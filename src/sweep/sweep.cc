@@ -301,17 +301,6 @@ runPointGroup(const std::vector<SweepPoint> &members,
     return outs;
 }
 
-bool
-libraryMatchesPoint(const sample::LivePointLibrary &library,
-                    const SweepPoint &point)
-{
-    return !point.sample.empty() &&
-           sample::libraryMismatch(
-               library, point.buildProgram(), point.resolveConfig(),
-               sample::SampleParams::parse(point.sample))
-               .empty();
-}
-
 std::vector<SweepOutcome>
 runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
          const volatile std::sig_atomic_t *cancel,
@@ -357,13 +346,11 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
 
     // Library-sharing plan over the one-point sampled tasks: the first
     // point of each geometry-matching group captures ("leader"), the
-    // rest replay ("follower"); a supplied library turns whole
-    // matching groups into followers. Points served by a multi-point
-    // task need no functional warming at all, so they opt out.
+    // rest replay ("follower"). Points served by a multi-point task
+    // need no functional warming at all, so they opt out.
     enum class Role : std::uint8_t { Independent, Leader, Follower };
-    constexpr std::size_t kSupplied = static_cast<std::size_t>(-1);
     std::vector<Role> role(points.size(), Role::Independent);
-    std::vector<std::size_t> leaderOf(points.size(), kSupplied);
+    std::vector<std::size_t> leaderOf(points.size(), 0);
     std::vector<std::shared_ptr<const sample::LivePointLibrary>>
         capturedLibs(points.size());
     if (sharing) {
@@ -376,13 +363,6 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
         }
         for (const auto &[key, members] : groups) {
             (void)key;
-            if (sharing->supplied &&
-                libraryMatchesPoint(*sharing->supplied,
-                                    points[members[0]])) {
-                for (const std::size_t i : members)
-                    role[i] = Role::Follower; // leaderOf stays supplied
-                continue;
-            }
             if (members.size() < 2)
                 continue; // nothing to amortize
             role[members[0]] = Role::Leader;
@@ -416,11 +396,8 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
             } else {
                 const std::size_t i = idx[0];
                 std::shared_ptr<const sample::LivePointLibrary> replay;
-                if (role[i] == Role::Follower) {
-                    replay = leaderOf[i] == kSupplied
-                                 ? sharing->supplied
-                                 : capturedLibs[leaderOf[i]];
-                }
+                if (role[i] == Role::Follower)
+                    replay = capturedLibs[leaderOf[i]];
                 outs.push_back(runPoint(
                     points[i], replay,
                     role[i] == Role::Leader ? &capturedLibs[i] : nullptr));
@@ -458,7 +435,7 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
                 continue;
             // A leader that failed (or was cancelled) leaves its
             // followers libraryless; they fall back to a full run.
-            if (leaderOf[i] == kSupplied || capturedLibs[leaderOf[i]])
+            if (capturedLibs[leaderOf[i]])
                 ++sharing->reused;
         }
     }

@@ -127,32 +127,17 @@ runPoint(const SweepPoint &point,
          std::shared_ptr<const sample::LivePointLibrary> *capture);
 
 /**
- * Does @p library serve @p point? True when @p point is sampled and
- * sample::libraryMismatch() — the check Sampler applies before a
- * replay — finds nothing. Builds the point's program to check its
- * fingerprint, so it costs about as much as content-addressing the
- * point.
- */
-bool libraryMatchesPoint(const sample::LivePointLibrary &library,
-                         const SweepPoint &point);
-
-/**
  * Live-point library sharing across a sweep (in/out parameter of
  * runSweep). Sampled points whose capture-relevant inputs match —
  * same machine kind, workload, program, sampling schedule, and
  * sample::captureDigest() (cache geometry, predictor, instruction
  * budget; timing knobs like latencies and MSHR counts deliberately
  * excluded) — share one functional-warming pass: the group's first
- * point captures a library in memory and the rest replay it. A
- * user-supplied library (imo-sweep --sample-library) serves every
- * group it matches without any capture at all. Reports are unaffected:
- * replayed points emit byte-identical JSON.
+ * point captures a library in memory and the rest replay it. Reports
+ * are unaffected: replayed points emit byte-identical JSON.
  */
 struct LibrarySharing
 {
-    /** Optional pre-captured library to serve matching points from. */
-    std::shared_ptr<const sample::LivePointLibrary> supplied;
-
     // Filled by runSweep():
     std::uint64_t captured = 0; //!< libraries captured by group leaders
     std::uint64_t reused = 0;   //!< points replayed from a shared library

@@ -3,7 +3,7 @@
  * Tests for the fault-tolerant sweep farm (src/farm/).
  *
  *  - PointKey: deterministic, sensitive to config and workload
- *    changes, stable hex encoding.
+ *    changes, stable hex encoding, equal to the keys a v6 build wrote.
  *  - ResultStore: verbatim round-trip, explicit opt-in to reuse,
  *    corruption quarantine, and verifyOrRepair() semantics.
  *  - runFarm(): merged report byte-identical to single-process
@@ -12,8 +12,8 @@
  *    served entirely from the memoized store.
  *  - Wire protocol: FrameParser reassembly at every fragmentation
  *    boundary, the authDigest admission keying, the lease codec
- *    (every task shape round-trips, malformed tasks are garbage), and
- *    v5 peers refused at admission.
+ *    (every task shape round-trips; malformed tasks and v6-layout
+ *    leases are garbage), and v5/v6 peers refused at admission.
  *  - TCP farms: in-process imo-worker sessions over loopback sockets —
  *    report identity, late joins, token rejection (AuthFailed), the
  *    min-workers fail-fast, and the three network fault points.
@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,7 +43,6 @@
 #include "farm/store.hh"
 #include "farm/transport.hh"
 #include "farm/worker.hh"
-#include "sample/livepoint.hh"
 #include "sweep/sweep.hh"
 
 #include "grid_helpers.hh"
@@ -152,6 +150,40 @@ TEST(FarmPointKey, DeterministicAndSensitive)
     const farm::PointKey c = farm::keyForPoint(tweaked);
     EXPECT_EQ(a1.programHash, c.programHash);
     EXPECT_NE(a1.configHash, c.configHash);
+}
+
+TEST(FarmPointKey, MatchesParentGolden)
+{
+    // Store keys are on-disk file names: a store filled by an earlier
+    // build must keep serving this one. The hex below was produced by
+    // the build before the Window task left the protocol (v6), whose
+    // keys hashed the Points kind tag; keyForTask() keeps hashing it.
+    sweep::SweepPoint full;
+    full.machine = "ooo";
+    full.workload = "ora";
+    full.scale = 0.1;
+    EXPECT_EQ(farm::keyForPoint(full).hex(),
+              "5e74a0f3dded3dd8191006362f2b805800000001");
+
+    sweep::SweepPoint sampled;
+    sampled.machine = "inorder";
+    sampled.workload = "compress";
+    sampled.scale = 0.2;
+    sampled.sample = "9973:300:300";
+    EXPECT_EQ(farm::keyForPoint(sampled).hex(),
+              "23413abde1effb4d908d23e47fba3c6e00000001");
+
+    farm::Task group;
+    for (const std::uint64_t kb : {8, 16, 32}) {
+        sweep::SweepPoint p;
+        p.workload = "tomcatv";
+        p.scale = 0.1;
+        p.l1SizeBytes = kb * 1024;
+        p.sample = "9973:300:300";
+        group.points.push_back(p);
+    }
+    EXPECT_EQ(farm::keyForTask(group).hex(),
+              "e1d905701cbe12c80bad277ce2eaaddd00000001");
 }
 
 // ----------------------------------------------------------- ResultStore
@@ -824,18 +856,42 @@ TEST(FarmProto, LeaseRoundTripsEveryTaskShape)
     many.slot = 4;
     many.task.points = geometryPoints();
     EXPECT_EQ(roundTrip(many).task, many.task);
+}
 
-    farm::LeaseMsg window;
-    window.slot = 5;
-    window.task.kind = farm::Task::Kind::Window;
-    window.task.points = {geometryPoints()[0]};
-    window.task.windowIndex = 7;
-    window.task.libraryHash = 0xabcdef;
-    window.task.warmImage = {1, 2, 3};
-    window.task.execImage = {4, 5};
-    const farm::LeaseMsg window_back = roundTrip(window);
-    EXPECT_EQ(window_back.slot, 5u);
-    EXPECT_EQ(window_back.task, window.task);
+/** A one-point lease for slot 1 written field by field: the v7 layout,
+ *  or with @p v6 the v6 layout (a kind byte after the slot, window
+ *  fields after the points) of a task of kind @p kind. */
+std::vector<std::uint8_t>
+handLease(const sweep::SweepPoint &p, bool v6, std::uint8_t kind = 0)
+{
+    Serializer s;
+    s.beginSection("lease");
+    s.u64(1);
+    if (v6)
+        s.u8(kind);
+    s.u32(1);
+    s.str(p.machine);
+    s.str(p.workload);
+    s.u8(static_cast<std::uint8_t>(p.mode));
+    s.u32(p.handlerLen);
+    s.f64(p.scale);
+    s.u64(p.seed);
+    s.u64(p.l1SizeBytes);
+    s.u32(p.l1Assoc);
+    s.u64(p.l2SizeBytes);
+    s.u32(p.l2Assoc);
+    s.u64(p.l2Latency);
+    s.u64(p.memLatency);
+    s.u32(p.mshrs);
+    s.str(p.sample);
+    if (v6) {
+        s.u64(kind); // window index
+        s.u64(kind); // library hash
+        s.vecU8(std::vector<std::uint8_t>(kind, 1)); // warm image
+        s.vecU8(std::vector<std::uint8_t>(kind, 2)); // executor image
+    }
+    s.endSection();
+    return s.finish();
 }
 
 TEST(FarmProto, MalformedTasksAreRejectedAsGarbage)
@@ -843,48 +899,29 @@ TEST(FarmProto, MalformedTasksAreRejectedAsGarbage)
     const sweep::SweepPoint p = smallPoints()[0];
 
     farm::Task points;
-    expectGarbage(points, "points task without points");
-    points.points = {p};
-    points.windowIndex = 1;
-    expectGarbage(points, "points task with a window index");
-    points.windowIndex = 0;
-    points.libraryHash = 1;
-    expectGarbage(points, "points task with a library hash");
-    points.libraryHash = 0;
-    points.warmImage = {1};
-    expectGarbage(points, "points task with a warm image");
-    points.warmImage.clear();
-    points.execImage = {1};
-    expectGarbage(points, "points task with an executor image");
+    expectGarbage(points, "task without points");
 
-    farm::Task window;
-    window.kind = farm::Task::Kind::Window;
-    window.warmImage = {1};
-    window.execImage = {2};
-    expectGarbage(window, "window task without a point");
-    window.points = {p, p};
-    expectGarbage(window, "window task with two points");
-    window.points = {p};
-    window.warmImage.clear();
-    expectGarbage(window, "window task without a warm image");
-    window.warmImage = {1};
-    window.execImage.clear();
-    expectGarbage(window, "window task without an executor image");
-
-    farm::Task unknown;
-    unknown.kind = static_cast<farm::Task::Kind>(2);
-    unknown.points = {p};
-    expectGarbage(unknown, "unknown task kind");
+    // The v7 layout written by hand decodes to the point, so the v6
+    // leases below are refused for their layout alone: a Points lease
+    // (kind byte, empty window fields) and a Window lease alike.
+    EXPECT_EQ(farm::decodeLease(handLease(p, false)).task.points,
+              std::vector<sweep::SweepPoint>{p});
+    for (const std::uint8_t kind : {0, 1}) {
+        try {
+            (void)farm::decodeLease(handLease(p, true, kind));
+            ADD_FAILURE() << "decoded a v6 lease of kind " << +kind;
+        } catch (const SimException &e) {
+            EXPECT_EQ(e.code(), ErrCode::WorkerLost);
+        }
+    }
 
     // A member count the payload cannot hold is garbage, never a huge
     // allocation: in a lease and in a result bundle alike.
     const auto impossibleCount = [](const char *section, bool lease) {
         Serializer s;
         s.beginSection(section);
-        if (lease) {
+        if (lease)
             s.u64(1); // slot
-            s.u8(0);  // Points
-        }
         s.u32(0xffffffffu);
         s.endSection();
         return s.finish();
@@ -905,11 +942,12 @@ TEST(FarmProto, MalformedTasksAreRejectedAsGarbage)
 
 TEST(FarmProto, V5PeerIsRejectedAtAdmission)
 {
-    // Coordinator side: a peer that answers the challenge as protocol
-    // v5, with the right token, gets a structured AuthReject and never
-    // a lease. Nobody else joins, so the min-workers watchdog ends the
-    // farm after one lease period, which leaves the peer ample time to
-    // be rejected even on a loaded host.
+    // Coordinator side: peers that answer the challenge as protocol v5
+    // or v6, with the right token, get a structured AuthReject and
+    // never a lease. Nobody else joins, so the min-workers watchdog
+    // ends the farm after one lease period, which leaves the peers
+    // ample time to be rejected even on a loaded host.
+    const std::vector<std::uint32_t> old_versions = {5, 6};
     farm::FarmOptions opt;
     opt.workers = 0;
     opt.listen = true;
@@ -922,52 +960,66 @@ TEST(FarmProto, V5PeerIsRejectedAtAdmission)
     opt.onListen = [&port_promise](std::uint16_t p) {
         port_promise.set_value(p);
     };
-    farm::Frame reply;
-    std::thread peer([&reply, port] {
-        try {
-            const int fd = farm::connectTcp("127.0.0.1", port.get(), 2'000);
-            farm::Frame challenge;
-            if (farm::readFrame(fd, &challenge)) {
-                farm::HelloMsg hello;
-                hello.protoVersion = 5;
-                hello.response = farm::authDigest(
-                    "hunter2",
-                    farm::decodeChallenge(challenge.payload).nonce);
-                farm::writeFrame(fd, farm::FrameType::Hello,
-                                 farm::encodeHello(hello));
-                farm::readFrame(fd, &reply);
+    std::vector<farm::Frame> replies(old_versions.size());
+    std::vector<std::thread> peers;
+    for (std::size_t i = 0; i < old_versions.size(); ++i) {
+        peers.emplace_back([&reply = replies[i], port,
+                            version = old_versions[i]] {
+            try {
+                const int fd =
+                    farm::connectTcp("127.0.0.1", port.get(), 2'000);
+                farm::Frame challenge;
+                if (farm::readFrame(fd, &challenge)) {
+                    farm::HelloMsg hello;
+                    hello.protoVersion = version;
+                    hello.response = farm::authDigest(
+                        "hunter2",
+                        farm::decodeChallenge(challenge.payload).nonce);
+                    farm::writeFrame(fd, farm::FrameType::Hello,
+                                     farm::encodeHello(hello));
+                    farm::readFrame(fd, &reply);
+                }
+                ::close(fd);
+            } catch (const SimException &) {
             }
-            ::close(fd);
-        } catch (const SimException &) {
-        }
-    });
-    const farm::FarmResult res = farm::runFarm(smallPoints(), opt);
-    peer.join();
-    EXPECT_FALSE(res.ok);
-    EXPECT_EQ(res.stats.authFailures, 1u);
-    ASSERT_EQ(reply.type, farm::FrameType::AuthReject);
-    EXPECT_EQ(farm::decodeError(reply.payload).error.code,
-              ErrCode::AuthFailed);
-
-    // Worker side: a v5 coordinator's challenge is refused the same way.
-    int to_worker[2], from_worker[2];
-    ASSERT_EQ(::pipe(to_worker), 0);
-    ASSERT_EQ(::pipe(from_worker), 0);
-    farm::ChallengeMsg challenge;
-    challenge.protoVersion = 5;
-    farm::writeFrame(to_worker[1], farm::FrameType::Challenge,
-                     farm::encodeChallenge(challenge));
-    FaultInjector inject{FaultSchedule{}};
-    try {
-        farm::serveSession(to_worker[0], from_worker[1],
-                           farm::SessionParams{}, inject, nullptr);
-        ADD_FAILURE() << "a v6 worker served a v5 coordinator";
-    } catch (const SimException &e) {
-        EXPECT_EQ(e.code(), ErrCode::AuthFailed);
+        });
     }
-    for (const int fd : {to_worker[0], to_worker[1], from_worker[0],
-                         from_worker[1]})
-        ::close(fd);
+    const farm::FarmResult res = farm::runFarm(smallPoints(), opt);
+    for (std::thread &t : peers)
+        t.join();
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.stats.authFailures, old_versions.size());
+    for (std::size_t i = 0; i < old_versions.size(); ++i) {
+        ASSERT_EQ(replies[i].type, farm::FrameType::AuthReject)
+            << "v" << old_versions[i];
+        EXPECT_EQ(farm::decodeError(replies[i].payload).error.code,
+                  ErrCode::AuthFailed);
+    }
+
+    // Worker side: an older coordinator's challenge is refused the
+    // same way.
+    for (const std::uint32_t version : old_versions) {
+        int to_worker[2], from_worker[2];
+        ASSERT_EQ(::pipe(to_worker), 0);
+        ASSERT_EQ(::pipe(from_worker), 0);
+        farm::ChallengeMsg challenge;
+        challenge.protoVersion = version;
+        farm::writeFrame(to_worker[1], farm::FrameType::Challenge,
+                         farm::encodeChallenge(challenge));
+        FaultInjector inject{FaultSchedule{}};
+        try {
+            farm::serveSession(to_worker[0], from_worker[1],
+                               farm::SessionParams{}, inject, nullptr);
+            ADD_FAILURE() << "a v" << farm::protocolVersion
+                          << " worker served a v" << version
+                          << " coordinator";
+        } catch (const SimException &e) {
+            EXPECT_EQ(e.code(), ErrCode::AuthFailed);
+        }
+        for (const int fd : {to_worker[0], to_worker[1], from_worker[0],
+                             from_worker[1]})
+            ::close(fd);
+    }
 }
 
 TEST(Farm, RejectsBadHeartbeatTimers)
@@ -1218,173 +1270,6 @@ TEST(Farm, StopFlagInterruptsCleanly)
     EXPECT_EQ(res.error.code, ErrCode::Interrupted);
     EXPECT_EQ(res.stats.simulated, 0u);
     EXPECT_TRUE(res.fragments.empty());
-}
-
-// ------------------------------------------------------ window sharding
-
-/** A sampled point small enough to window-farm in-process: ora at
- *  scale 0.1 under a dense 499:100:100 schedule (9 windows). */
-sweep::SweepPoint
-sampledPoint()
-{
-    sweep::SweepPoint p;
-    p.machine = "inorder";
-    p.workload = "ora";
-    p.handlerLen = 1;
-    p.scale = 0.1;
-    p.sample = "499:100:100";
-    return p;
-}
-
-/** Capture the point's live-point library, content hash stamped. */
-std::shared_ptr<const sample::LivePointLibrary>
-captureLibrary(const sweep::SweepPoint &point)
-{
-    std::shared_ptr<const sample::LivePointLibrary> captured;
-    const sweep::SweepOutcome out =
-        sweep::runPoint(point, nullptr, &captured);
-    EXPECT_TRUE(out.estimate.ok) << out.estimate.error.message;
-    EXPECT_NE(captured, nullptr);
-    sample::LivePointLibrary lib = *captured;
-    sample::serializeLibrary(lib); // stamp contentHash
-    return std::make_shared<const sample::LivePointLibrary>(
-        std::move(lib));
-}
-
-/** Store key of window @p w of the library hashing to @p hash. */
-farm::PointKey
-windowKey(const sweep::SweepPoint &p, std::uint64_t hash, std::uint64_t w)
-{
-    farm::Task task;
-    task.kind = farm::Task::Kind::Window;
-    task.points = {p};
-    task.windowIndex = w;
-    task.libraryHash = hash;
-    return farm::keyForTask(task);
-}
-
-TEST(FarmWindowKey, DistinctPerWindowAndNeverAliasesAPointKey)
-{
-    const sweep::SweepPoint p = sampledPoint();
-    const std::uint64_t hash = 0xfeedfacecafef00dull;
-
-    const farm::PointKey w0 = windowKey(p, hash, 0);
-    EXPECT_EQ(w0, windowKey(p, hash, 0));
-    EXPECT_EQ(w0.programHash, hash);
-
-    // Every window of a library is its own unit of work.
-    const farm::PointKey w1 = windowKey(p, hash, 1);
-    EXPECT_NE(w0.configHash, w1.configHash);
-
-    // A different library (schedule, capture config, program...) never
-    // shares records even for the same window index.
-    EXPECT_NE(w0, windowKey(p, hash + 1, 0));
-
-    // The task kind keeps shard records disjoint from the whole-point
-    // records of the same point.
-    EXPECT_NE(w0.configHash, farm::keyForPoint(p).configHash);
-
-    // And the config side is sensitive to timing-only overrides the
-    // library deliberately ignores: one library, distinct records per
-    // swept configuration.
-    sweep::SweepPoint tweaked = p;
-    tweaked.l2Latency = 99;
-    EXPECT_NE(w0.configHash,
-              windowKey(tweaked, hash, 0).configHash);
-}
-
-TEST(FarmWindows, ReportMatchesSweepForAnyWorkerCount)
-{
-    const sweep::SweepPoint p = sampledPoint();
-    const std::string expect = sweepReport({p});
-    const auto lib = captureLibrary(p);
-    ASSERT_GT(lib->points.size(), 1u);
-
-    for (const unsigned workers : {1u, 3u}) {
-        farm::FarmOptions opt;
-        opt.workers = workers;
-        const farm::FarmResult res =
-            farm::runFarmWindows(p, lib, opt);
-        ASSERT_TRUE(res.ok) << res.error.format();
-        EXPECT_EQ(res.stats.points, lib->points.size());
-        EXPECT_EQ(res.stats.uniqueSlots, lib->points.size());
-        EXPECT_EQ(res.stats.simulated, lib->points.size());
-        ASSERT_EQ(res.fragments.size(), 1u);
-        EXPECT_EQ(farmReport(res), expect) << "workers=" << workers;
-    }
-}
-
-TEST(FarmWindows, SecondRunIsServedFromStore)
-{
-    const sweep::SweepPoint p = sampledPoint();
-    const auto lib = captureLibrary(p);
-    const std::string dir = tempDir("windows");
-
-    farm::FarmOptions opt;
-    opt.workers = 2;
-    opt.storeDir = dir;
-
-    const farm::FarmResult first = farm::runFarmWindows(p, lib, opt);
-    ASSERT_TRUE(first.ok) << first.error.format();
-    EXPECT_EQ(first.stats.storeHits, 0u);
-    EXPECT_EQ(first.stats.simulated, lib->points.size());
-
-    // The re-run simulates nothing: every window is a store hit, and
-    // the folded report is verbatim.
-    opt.resume = true;
-    const farm::FarmResult second = farm::runFarmWindows(p, lib, opt);
-    ASSERT_TRUE(second.ok) << second.error.format();
-    EXPECT_EQ(second.stats.storeHits, lib->points.size());
-    EXPECT_EQ(second.stats.simulated, 0u);
-    EXPECT_EQ(farmReport(second), farmReport(first));
-    EXPECT_EQ(farmReport(second), sweepReport({p}));
-}
-
-TEST(FarmWindows, RejectsUnsampledPointAndForeignLibrary)
-{
-    const sweep::SweepPoint p = sampledPoint();
-    const auto lib = captureLibrary(p);
-    farm::FarmOptions opt;
-    opt.workers = 1;
-
-    // A full-detail point has no windows to shard.
-    sweep::SweepPoint full = p;
-    full.sample.clear();
-    try {
-        farm::runFarmWindows(full, lib, opt);
-        FAIL() << "expected BadConfig for an unsampled point";
-    } catch (const SimException &e) {
-        EXPECT_EQ(e.code(), ErrCode::BadConfig);
-    }
-
-    // A library captured for another schedule must be refused before
-    // any worker is spawned.
-    sweep::SweepPoint other = p;
-    other.sample = "499:100:150";
-    try {
-        farm::runFarmWindows(other, lib, opt);
-        FAIL() << "expected BadConfig for a mismatched library";
-    } catch (const SimException &e) {
-        EXPECT_EQ(e.code(), ErrCode::BadConfig);
-    }
-}
-
-TEST(FarmWindows, ReportSurvivesWorkerChaos)
-{
-    const sweep::SweepPoint p = sampledPoint();
-    const auto lib = captureLibrary(p);
-    const std::string expect = sweepReport({p});
-
-    farm::FarmOptions opt;
-    opt.workers = 3;
-    opt.leaseMs = 4'000;
-    opt.backoffBaseMs = 1;
-    opt.faults.seed = 7;
-    opt.faults.setProbability(FaultPoint::WorkerKill, 0.3);
-
-    const farm::FarmResult res = farm::runFarmWindows(p, lib, opt);
-    ASSERT_TRUE(res.ok) << res.error.format();
-    EXPECT_EQ(farmReport(res), expect);
 }
 
 } // anonymous namespace

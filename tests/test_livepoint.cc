@@ -7,10 +7,8 @@
  *  - corrupted or truncated library images surface as structured
  *    BadCheckpoint errors (the hostile-input fuzz patterns of
  *    test_checkpoint.cc, applied to the library container);
- *  - the WindowSample wire codec round-trips and rejects bad lengths;
- *  - replaying a library, running the windows on a thread pool, and
- *    folding externally produced window samples all reproduce the
- *    sequential sampler's estimate bit for bit;
+ *  - capturing a library and replaying it both reproduce the
+ *    sequential sampler's estimate bit for bit, on both machines;
  *  - captureDigest() ignores window-timing parameters and nothing else;
  *  - copying a machine's warm state seeds the same state as an image.
  */
@@ -111,8 +109,8 @@ expectSameLibrary(const sample::LivePointLibrary &a,
     }
 }
 
-/** Bit-identical, not approximately equal: all three execution modes
- *  fold the same per-window samples in the same order. */
+/** Bit-identical, not approximately equal: every execution mode folds
+ *  the same per-window samples in the same order. */
 void
 expectSameEstimate(const sample::SampleEstimate &a,
                    const sample::SampleEstimate &b)
@@ -152,18 +150,6 @@ TEST(LivePointLibrary, CaptureRoundTripIsBitIdentical)
 
     // Re-serializing the parsed copy reproduces the exact image.
     EXPECT_EQ(sample::serializeLibrary(parsed), image);
-}
-
-TEST(LivePointLibrary, FileRoundTripIsBitIdentical)
-{
-    sample::LivePointLibrary lib = capturedLibrary();
-    const std::string path =
-        ::testing::TempDir() + "livepoint_roundtrip.imolib";
-    sample::writeLibraryFile(path, lib);
-
-    sample::LivePointLibrary loaded = sample::loadLibraryFile(path);
-    expectSameLibrary(lib, loaded);
-    EXPECT_EQ(::remove(path.c_str()), 0);
 }
 
 TEST(LivePointLibrary, ContentHashIdentifiesTheBytes)
@@ -251,39 +237,6 @@ TEST(LivePointLibrary, UnsupportedFormatVersionIsRejected)
     }
 }
 
-// ----------------------------------------------------- WindowSample codec
-
-TEST(WindowSample, CodecRoundTrips)
-{
-    const sample::WindowSample ws{300, 300, 123456, 78, 910};
-    const std::string wire = sample::encodeWindowSample(ws);
-    EXPECT_EQ(wire.size(), 40u);
-
-    const sample::WindowSample back = sample::decodeWindowSample(wire);
-    EXPECT_EQ(back.warmed, ws.warmed);
-    EXPECT_EQ(back.measured, ws.measured);
-    EXPECT_EQ(back.cycles, ws.cycles);
-    EXPECT_EQ(back.misses, ws.misses);
-    EXPECT_EQ(back.refs, ws.refs);
-}
-
-TEST(WindowSample, BadLengthsAreRejected)
-{
-    const std::string wire =
-        sample::encodeWindowSample(sample::WindowSample{});
-    for (const std::size_t len : {std::size_t{0}, std::size_t{39},
-                                  std::size_t{41}, std::size_t{80}}) {
-        std::string s = wire + wire;
-        s.resize(len);
-        try {
-            sample::decodeWindowSample(s);
-            FAIL() << "window sample of " << len << " bytes decoded";
-        } catch (const SimException &e) {
-            EXPECT_EQ(e.error().code, ErrCode::BadCheckpoint);
-        }
-    }
-}
-
 // -------------------------------------------------------- capture digest
 
 TEST(CaptureDigest, IgnoresWindowTimingParameters)
@@ -364,59 +317,31 @@ TEST(WarmState, CopyMatchesImageRoundTrip)
 
 // ----------------------------------------------- estimate bit-identity
 
-TEST(LivePointSampler, ReplayMatchesSequentialEstimate)
+/** Capture and replay both reproduce the sequential estimate bit for
+ *  bit on @p cfg's machine. */
+void
+checkReplayMatchesSequential(const pipeline::MachineConfig &cfg)
 {
     const isa::Program prog = buildWorkload("hydro2d", 0.2);
-    const pipeline::MachineConfig cfg = pipeline::makeInOrderConfig();
 
     sample::Sampler seq(prog, cfg, sample::SampleParams{});
     const sample::SampleEstimate expect = seq.run();
+    ASSERT_GT(expect.windows, 0u);
 
-    auto lib = std::make_shared<const sample::LivePointLibrary>(
-        capturedLibrary());
+    sample::Sampler capture(prog, cfg, sample::SampleParams{});
+    capture.setRetainCapture(true);
+    expectSameEstimate(capture.run(), expect);
+    ASSERT_TRUE(capture.capturedLibrary());
+
     sample::Sampler replay(prog, cfg, sample::SampleParams{});
-    replay.setLibrary(lib);
+    replay.setLibrary(capture.capturedLibrary());
     expectSameEstimate(replay.run(), expect);
 }
 
-TEST(LivePointSampler, ParallelJobsMatchSequentialEstimate)
+TEST(LivePointSampler, ReplayMatchesSequentialEstimate)
 {
-    const isa::Program prog = buildWorkload("hydro2d", 0.2);
-    const pipeline::MachineConfig cfg = pipeline::makeInOrderConfig();
-
-    sample::Sampler seq(prog, cfg, sample::SampleParams{});
-    const sample::SampleEstimate expect = seq.run();
-
-    for (const unsigned jobs : {2u, 4u}) {
-        sample::Sampler par(prog, cfg, sample::SampleParams{});
-        par.setJobs(jobs);
-        expectSameEstimate(par.run(), expect);
-    }
-}
-
-TEST(LivePointSampler, FoldedWindowSamplesMatchLocalRun)
-{
-    // Simulate the farm: run every window independently from its live
-    // point (any order would do), then fold the shards. The estimate
-    // must be bit-identical to the sequential sampler's.
-    const isa::Program prog = buildWorkload("hydro2d", 0.2);
-    const pipeline::MachineConfig cfg = pipeline::makeInOrderConfig();
-    const sample::SampleParams params{};
-
-    auto lib = std::make_shared<const sample::LivePointLibrary>(
-        capturedLibrary());
-    std::vector<sample::WindowSample> shards;
-    for (const sample::LivePoint &point : lib->points)
-        shards.push_back(
-            sample::runLivePointWindow<pipeline::InOrderCpu>(
-                prog, cfg, point, params.warmup, params.measure));
-
-    sample::Sampler seq(prog, cfg, params);
-    const sample::SampleEstimate expect = seq.run();
-
-    sample::Sampler fold(prog, cfg, params);
-    fold.setLibrary(lib);
-    expectSameEstimate(fold.runFromWindowSamples(shards), expect);
+    checkReplayMatchesSequential(pipeline::makeInOrderConfig());
+    checkReplayMatchesSequential(pipeline::makeOutOfOrderConfig());
 }
 
 TEST(LivePointSampler, MismatchedLibraryIsAStructuredError)
@@ -463,12 +388,4 @@ TEST(LivePointSampler, MismatchedLibraryIsAStructuredError)
     sample::SampleParams other;
     other.measure += 50;
     expectRefused(prog, cfg, other, "schedule");
-
-    // Wrong shard count for the fold entry point.
-    sample::Sampler fold(prog, cfg, sample::SampleParams{});
-    fold.setLibrary(lib);
-    const sample::SampleEstimate e3 = fold.runFromWindowSamples(
-        std::vector<sample::WindowSample>(lib->points.size() + 1));
-    EXPECT_FALSE(e3.ok);
-    EXPECT_EQ(e3.error.code, ErrCode::BadConfig);
 }

@@ -5,8 +5,6 @@
  *
  *  - runOrdered(): results land in input order for any job count,
  *    and task exceptions propagate (first failing index wins).
- *  - runOrderedWith(): a failing context factory is rethrown, and
- *    each worker builds its context once.
  *  - expandGrid(): cardinality and deterministic axis ordering.
  *  - planTasks(): every point in exactly one task, tasks ordered by
  *    first member, multi-point tasks = planMultiCacheGroups().
@@ -23,16 +21,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <csignal>
 #include <cstdint>
-#include <mutex>
 #include <random>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hh"
@@ -162,69 +156,6 @@ TEST(SweepEngine, EmptyTaskList)
 {
     const std::vector<std::function<int()>> tasks;
     EXPECT_TRUE(sweep::runOrdered(tasks, 4).empty());
-}
-
-TEST(SweepEngine, ContextFactoryFailureIsRethrown)
-{
-    // The first context construction throws on its worker thread. The
-    // other workers may drain the queue, but the caller must still see
-    // the failure rather than a result vector with holes.
-    std::vector<std::function<int(int &)>> tasks;
-    for (int i = 0; i < 16; ++i)
-        tasks.emplace_back([i](int &) { return i; });
-    std::atomic<int> made{0};
-    const std::function<int()> make_ctx = [&made]() -> int {
-        if (made.fetch_add(1) == 0)
-            throw std::runtime_error("no context");
-        return 0;
-    };
-    for (const unsigned jobs : {1u, 4u}) {
-        made = 0;
-        try {
-            sweep::runOrderedWith<int, int>(make_ctx, tasks, jobs);
-            FAIL() << "expected an exception (jobs=" << jobs << ")";
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "no context");
-        }
-    }
-}
-
-TEST(SweepEngine, EachWorkerBuildsItsContextOnce)
-{
-    struct Ctx
-    {
-        std::thread::id owner;
-    };
-    std::mutex mu;
-    std::vector<std::thread::id> builders;
-    const std::function<Ctx()> make_ctx = [&] {
-        const std::lock_guard<std::mutex> lock(mu);
-        builders.push_back(std::this_thread::get_id());
-        return Ctx{std::this_thread::get_id()};
-    };
-    // Each task reports whether its context was built on its own
-    // thread (int, not bool: results are written concurrently).
-    std::vector<std::function<int(Ctx &)>> tasks;
-    for (int i = 0; i < 64; ++i) {
-        tasks.emplace_back([](Ctx &ctx) {
-            return ctx.owner == std::this_thread::get_id() ? 1 : 0;
-        });
-    }
-    for (const unsigned jobs : {4u, 1u}) {
-        builders.clear();
-        const std::vector<int> own =
-            sweep::runOrderedWith<int, Ctx>(make_ctx, tasks, jobs);
-        EXPECT_EQ(own, std::vector<int>(tasks.size(), 1))
-            << "jobs=" << jobs;
-        ASSERT_GE(builders.size(), 1u);
-        EXPECT_LE(builders.size(), jobs) << "jobs=" << jobs;
-        const std::set<std::thread::id> distinct(builders.begin(),
-                                                 builders.end());
-        EXPECT_EQ(distinct.size(), builders.size()) << "jobs=" << jobs;
-    }
-    EXPECT_EQ(builders, std::vector<std::thread::id>{
-                            std::this_thread::get_id()})
-        << "an inline run builds one context, on the caller";
 }
 
 // ------------------------------------------------------------------ grid

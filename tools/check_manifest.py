@@ -3,8 +3,7 @@
 
 Usage:
     check_manifest.py manifest PATH [--expect-status S] [--expect-tool T]
-                      [--min-attempts N] [--expect-library-mode M]
-                      [--expect-library-windows N]
+                      [--min-attempts N]
                       [--expect-multi-cache-groups N]
     check_manifest.py progress PATH
 
@@ -17,10 +16,8 @@ violation otherwise.
 import json
 import sys
 
-MANIFEST_SCHEMA_VERSION = 3
+MANIFEST_SCHEMA_VERSION = 4
 PROGRESS_SCHEMA_VERSION = 1
-
-LIBRARY_MODES = {"", "capture", "load"}
 
 POINT_STATUSES = {"ok", "failed", "cancelled"}
 RUN_STATUSES = {"ok", "failed", "interrupted"}
@@ -65,10 +62,6 @@ MANIFEST_FIELDS = {
     "elapsed_ms": int,
     "points_total": int,
     "points_done": int,
-    "library_mode": str,
-    "library_path": str,
-    "library_hash": str,
-    "library_windows": int,
     "multi_cache_groups": list,
     "points": list,
 }
@@ -113,7 +106,6 @@ class Checker:
 
 
 def check_manifest(doc, chk, expect_status, expect_tool, min_attempts,
-                   expect_library_mode, expect_library_windows,
                    expect_multi_cache_groups):
     chk.check_fields(doc, MANIFEST_FIELDS, "manifest")
     if chk.errors:
@@ -147,35 +139,6 @@ def check_manifest(doc, chk, expect_status, expect_tool, min_attempts,
         chk.require(
             doc["tool"] == expect_tool,
             f"tool is '{doc['tool']}', expected '{expect_tool}'",
-        )
-
-    chk.require(
-        doc["library_mode"] in LIBRARY_MODES,
-        f"library_mode '{doc['library_mode']}' not in "
-        f"{sorted(LIBRARY_MODES)}",
-    )
-    if doc["library_mode"]:
-        h = doc["library_hash"]
-        chk.require(
-            len(h) == 16 and all(c in "0123456789abcdef" for c in h),
-            f"library_hash '{h}' is not 16 lowercase hex digits",
-        )
-    else:
-        chk.require(
-            doc["library_hash"] == "" and doc["library_windows"] == 0,
-            "library_hash/library_windows set without a library_mode",
-        )
-    if expect_library_mode is not None:
-        chk.require(
-            doc["library_mode"] == expect_library_mode,
-            f"library_mode is '{doc['library_mode']}', expected "
-            f"'{expect_library_mode}'",
-        )
-    if expect_library_windows is not None:
-        chk.require(
-            doc["library_windows"] == expect_library_windows,
-            f"library_windows is {doc['library_windows']}, expected "
-            f"{expect_library_windows}",
         )
 
     groups = doc["multi_cache_groups"]
@@ -294,8 +257,6 @@ def main(argv):
     expect_status = None
     expect_tool = None
     min_attempts = None
-    expect_library_mode = None
-    expect_library_windows = None
     expect_multi_cache_groups = None
     args = argv[3:]
     while args:
@@ -306,10 +267,6 @@ def main(argv):
             expect_tool = args.pop(0)
         elif flag == "--min-attempts" and args:
             min_attempts = int(args.pop(0))
-        elif flag == "--expect-library-mode" and args:
-            expect_library_mode = args.pop(0)
-        elif flag == "--expect-library-windows" and args:
-            expect_library_windows = int(args.pop(0))
         elif flag == "--expect-multi-cache-groups" and args:
             expect_multi_cache_groups = int(args.pop(0))
         else:
@@ -328,9 +285,7 @@ def main(argv):
         chk.fail("document is not a JSON object")
     elif mode == "manifest":
         check_manifest(doc, chk, expect_status, expect_tool,
-                       min_attempts, expect_library_mode,
-                       expect_library_windows,
-                       expect_multi_cache_groups)
+                       min_attempts, expect_multi_cache_groups)
     else:
         check_progress(doc, chk)
 

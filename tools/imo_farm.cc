@@ -35,8 +35,6 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "common/error.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
@@ -44,7 +42,6 @@
 #include "farm/farm.hh"
 #include "farm/proto.hh"
 #include "obs/trace.hh"
-#include "sample/livepoint.hh"
 #include "sweep/gridcli.hh"
 #include "sweep/sweep.hh"
 
@@ -149,14 +146,6 @@ usage()
         "                          points become one lease; report "
         "bytes are\n"
         "                          unchanged)\n"
-        "  --sample-library PATH   shard the measurement windows of "
-        "one sampled\n"
-        "                          grid point across the farm's "
-        "workers, replaying\n"
-        "                          live points from the .imolib "
-        "capture (the grid\n"
-        "                          must expand to exactly that one "
-        "point)\n"
         "  --run-id ID             override the generated run id\n"
         "  --list                  print the expanded grid and exit\n"
         "  --quiet                 suppress warn/info diagnostics\n",
@@ -217,7 +206,6 @@ main(int argc, char **argv)
     bool want_stats = false;
     std::string stats_json_path;
     std::string fault_spec_joined; //!< verbatim specs, for the manifest
-    std::string library_path;
 
     const std::vector<std::string> cli_args(argv + 1, argv + argc);
 
@@ -312,8 +300,6 @@ main(int argc, char **argv)
                 stats_json_path = value();
             } else if (arg == "--multi-cache") {
                 opt.multiCache = true;
-            } else if (arg == "--sample-library") {
-                library_path = value();
             } else if (arg == "--run-id") {
                 opt.runId = value();
             } else if (arg == "--list") {
@@ -386,24 +372,7 @@ main(int argc, char **argv)
             opt.trace = &trace;
         }
 
-        // Window sharding: one sampled point, its measurement windows
-        // leased individually from the supplied live-point capture.
-        std::shared_ptr<const sample::LivePointLibrary> library;
-        if (!library_path.empty()) {
-            sim_throw_if(points.size() != 1, ErrCode::BadConfig,
-                         "imo-farm: --sample-library shards the "
-                         "windows of exactly one grid point, but the "
-                         "grid expands to %zu points",
-                         points.size());
-            library =
-                std::make_shared<const sample::LivePointLibrary>(
-                    sample::loadLibraryFile(library_path));
-        }
-
-        const farm::FarmResult res =
-            library ? farm::runFarmWindows(points[0], library, opt,
-                                           &g_stop)
-                    : farm::runFarm(points, opt, &g_stop);
+        const farm::FarmResult res = farm::runFarm(points, opt, &g_stop);
 
         // Telemetry artifacts are written on success and failure alike:
         // a post-mortem needs them most when the run went wrong.
@@ -429,14 +398,6 @@ main(int argc, char **argv)
             m.protocolVersion = farm::protocolVersion;
             m.faultSpec = fault_spec_joined;
             m.faultSeed = opt.faults.seed;
-            if (library) {
-                m.libraryMode = "load";
-                m.libraryPath = library_path;
-                m.libraryHash = simFormat(
-                    "%016llx", static_cast<unsigned long long>(
-                                   library->contentHash));
-                m.libraryWindows = library->points.size();
-            }
             m.status = res.ok ? "ok"
                               : (res.error.code == ErrCode::Interrupted
                                      ? "interrupted"

@@ -39,9 +39,7 @@
 #include "common/stats.hh"
 #include "obs/observer.hh"
 #include "pipeline/simulate.hh"
-#include "sample/livepoint.hh"
 #include "sample/sample.hh"
-#include "sweep/gridcli.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -122,19 +120,6 @@ usage()
         "  --sample-preset P       named U:W:M schedule preset "
         "(default, periodic);\n"
         "                          an explicit --sample overrides it\n"
-        "  --jobs N                worker threads for the sampled "
-        "measurement windows\n"
-        "                          (0 = one per hardware thread; "
-        "report, CSV and stats\n"
-        "                          are byte-identical for every "
-        "value)\n"
-        "  --sample-capture PATH   write the live-point library "
-        "(.imolib) captured by\n"
-        "                          the functional pass to PATH\n"
-        "  --sample-library PATH   replay measurement windows from a "
-        "captured library\n"
-        "                          instead of re-running the "
-        "functional pass\n"
         "  --stats                 print the full stats tree after the "
         "run\n"
         "  --stats-json PATH       write the stats tree as JSON to PATH "
@@ -196,15 +181,6 @@ exitCodeFor(ErrCode code)
     }
 }
 
-/** Live-point library provenance for the manifest (sampled runs). */
-struct LibraryInfo
-{
-    std::string mode; //!< "" | "capture" | "load"
-    std::string path;
-    std::string hash; //!< contentHash as 16 hex digits
-    std::uint64_t windows = 0;
-};
-
 /** Write the run manifest (telemetry only — failures are warnings and
  *  never change the run's outputs or exit code). */
 void
@@ -213,8 +189,7 @@ emitManifest(const std::string &path,
              const std::string &desc, const std::string &fault_spec,
              std::uint64_t fault_seed, const char *status,
              const SimError *err, std::uint64_t elapsed_ms,
-             const std::string &stats_json,
-             const LibraryInfo &library = {})
+             const std::string &stats_json)
 {
     if (path.empty())
         return;
@@ -224,10 +199,6 @@ emitManifest(const std::string &path,
     m.args = args;
     m.faultSpec = fault_spec;
     m.faultSeed = fault_seed;
-    m.libraryMode = library.mode;
-    m.libraryPath = library.path;
-    m.libraryHash = library.hash;
-    m.libraryWindows = library.windows;
     m.status = status;
     if (err) {
         m.errorCode = errCodeName(err->code);
@@ -294,9 +265,6 @@ main(int argc, char **argv)
     double sample_target = 0.0;
     std::uint32_t sample_passes = 0;
     std::string sample_preset;
-    std::string sample_capture;
-    std::string sample_library;
-    std::string jobs_text; // parsed inside the try (throws BadConfig)
     std::string manifest_path;
     std::string fault_spec_joined;
 
@@ -384,15 +352,6 @@ main(int argc, char **argv)
         } else if (arg == "--sample-preset") {
             if (!(val = next())) return usage();
             sample_preset = val;
-        } else if (arg == "--sample-capture") {
-            if (!(val = next())) return usage();
-            sample_capture = val;
-        } else if (arg == "--sample-library") {
-            if (!(val = next())) return usage();
-            sample_library = val;
-        } else if (arg == "--jobs") {
-            if (!(val = next())) return usage();
-            jobs_text = val;
         } else if (arg == "--stats") {
             want_stats = true;
         } else if (arg == "--stats-json") {
@@ -532,41 +491,13 @@ main(int argc, char **argv)
                                                     : "failed";
         };
 
-        const bool sampled = !sample_spec.empty() ||
-            !sample_preset.empty() || !sample_library.empty();
-        if (!sampled && !jobs_text.empty())
-            warn("--jobs only applies to sampled runs; ignored");
-        if (!sampled && !sample_capture.empty())
-            warn("--sample-capture only applies to sampled runs; "
-                 "ignored");
-
-        if (sampled) {
-            sim_throw_if(!sample_capture.empty() &&
-                         !sample_library.empty(), ErrCode::BadConfig,
-                         "--sample-capture and --sample-library are "
-                         "mutually exclusive (a replayed run has no "
-                         "functional pass to capture from)");
-
+        if (!sample_spec.empty() || !sample_preset.empty()) {
             sample::SampleParams sp;
             if (!sample_preset.empty())
                 sp = sample::SampleParams::preset(sample_preset,
                                                   workload);
             if (!sample_spec.empty())
                 sp = sample::SampleParams::parse(sample_spec);
-
-            std::shared_ptr<const sample::LivePointLibrary> lib;
-            if (!sample_library.empty()) {
-                lib = std::make_shared<const sample::LivePointLibrary>(
-                    sample::loadLibraryFile(sample_library));
-                if (sample_spec.empty() && sample_preset.empty()) {
-                    // The library records its own schedule; inherit it
-                    // so replaying does not require repeating U:W:M.
-                    sp.fastForward = lib->fastForward;
-                    sp.warmup = lib->warmup;
-                    sp.measure = lib->measure;
-                    sp.validate();
-                }
-            }
 
             if (sample_target > 0.0)
                 sp.targetRelErr = sample_target;
@@ -577,46 +508,9 @@ main(int argc, char **argv)
                 sim_options.checkpointEvery = 0;
             }
 
-            unsigned jobs = 1;
-            if (!jobs_text.empty())
-                jobs = sweep::parseParallelism(jobs_text, "--jobs");
-
             sample::Sampler sampler(prog, machine, sp);
-            sampler.setJobs(jobs);
-            if (!sample_capture.empty())
-                sampler.setCaptureOut(sample_capture);
-            if (lib)
-                sampler.setLibrary(lib);
             const sample::SampleEstimate est =
                 sampler.run(sim_options);
-
-            // Library lines go to stderr: stdout (report/CSV/stats)
-            // stays byte-identical across jobs and library modes.
-            LibraryInfo libinfo;
-            if (lib) {
-                libinfo = {"load", sample_library,
-                           simFormat("%016llx",
-                                     static_cast<unsigned long long>(
-                                         lib->contentHash)),
-                           lib->points.size()};
-                if (est.ok) {
-                    inform("sample: replayed %zu windows from %s "
-                         "(hash %s)", lib->points.size(),
-                         sample_library.c_str(), libinfo.hash.c_str());
-                }
-            } else if (!sample_capture.empty() &&
-                       sampler.capturedLibrary()) {
-                const sample::LivePointLibrary &cap =
-                    *sampler.capturedLibrary();
-                libinfo = {"capture", sample_capture,
-                           simFormat("%016llx",
-                                     static_cast<unsigned long long>(
-                                         cap.contentHash)),
-                           cap.points.size()};
-                inform("sample: captured %zu live points to %s "
-                     "(hash %s)", cap.points.size(),
-                     sample_capture.c_str(), libinfo.hash.c_str());
-            }
 
             if (want_obs) {
                 stats::StatGroup root("sim");
@@ -646,8 +540,7 @@ main(int argc, char **argv)
                          fault_spec_joined, fault_schedule.seed,
                          est.ok ? "ok" : statusOf(est.error),
                          est.ok ? nullptr : &est.error,
-                         steadyMs() - run_start, observer.statsJson,
-                         libinfo);
+                         steadyMs() - run_start, observer.statsJson);
 
             if (!est.ok) {
                 printError(est.error);

@@ -32,13 +32,10 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/manifest.hh"
 #include "obs/trace.hh"
-#include "sample/livepoint.hh"
 #include "sweep/gridcli.hh"
 #include "sweep/sweep.hh"
 
@@ -81,11 +78,6 @@ usage()
         "(run id,\n"
         "                          per-point wall times, final "
         "status)\n"
-        "  --sample-library PATH   serve matching sampled points from "
-        "a captured\n"
-        "                          live-point library (.imolib) "
-        "instead of re-running\n"
-        "                          functional warming\n"
         "  --multi-cache           classify all cache geometries of a "
         "sampled group\n"
         "                          in one pass over the reference "
@@ -109,7 +101,6 @@ main(int argc, char **argv)
     std::string trace_path;
     std::string trace_format = "chrome";
     std::string manifest_path;
-    std::string library_path;
     bool multi_cache = false;
 
     const std::vector<std::string> cli_args(argv + 1, argv + argc);
@@ -139,8 +130,6 @@ main(int argc, char **argv)
                     return usage();
             } else if (arg == "--manifest") {
                 manifest_path = value();
-            } else if (arg == "--sample-library") {
-                library_path = value();
             } else if (arg == "--multi-cache") {
                 multi_cache = true;
             } else if (arg == "--list") {
@@ -186,23 +175,13 @@ main(int argc, char **argv)
         };
         const std::uint64_t run_start = steady_ms();
 
-        // Live-point library sharing: geometry-matching sampled points
-        // run one functional-warming pass between them (or none at
-        // all, with a supplied library). Report bytes are unaffected.
-        sweep::LibrarySharing sharing;
-        if (!library_path.empty()) {
-            sharing.supplied =
-                std::make_shared<const sample::LivePointLibrary>(
-                    sample::loadLibraryFile(library_path));
-        }
-
         std::vector<std::uint8_t> completed;
         std::vector<sweep::PointTiming> timings;
         sweep::MultiCache mc;
         const std::vector<sweep::SweepOutcome> outcomes =
             sweep::runSweep(points, jobs, &g_stop, &completed,
                             want_telemetry ? &timings : nullptr,
-                            &sharing, multi_cache ? &mc : nullptr);
+                            nullptr, multi_cache ? &mc : nullptr);
         const std::uint64_t run_end = steady_ms();
 
         if (multi_cache) {
@@ -211,13 +190,6 @@ main(int argc, char **argv)
                    mc.groups.size(),
                    static_cast<unsigned long long>(mc.pointsShared),
                    points.size());
-        }
-
-        if (sharing.captured || sharing.reused) {
-            inform("imo-sweep: live-point libraries: %llu captured, "
-                   "%llu points reused",
-                   static_cast<unsigned long long>(sharing.captured),
-                   static_cast<unsigned long long>(sharing.reused));
         }
 
         // Telemetry artifacts first (written for interrupted runs too);
@@ -257,14 +229,6 @@ main(int argc, char **argv)
             m.status = g_stop ? "interrupted" : "ok";
             m.elapsedMs = run_end - run_start;
             m.pointsTotal = points.size();
-            if (sharing.supplied) {
-                m.libraryMode = "load";
-                m.libraryPath = library_path;
-                m.libraryHash = simFormat(
-                    "%016llx", static_cast<unsigned long long>(
-                                   sharing.supplied->contentHash));
-                m.libraryWindows = sharing.supplied->points.size();
-            }
             // Multi-cache provenance: the group table plus, per
             // point, which shared pass (if any) produced its result.
             std::vector<std::int32_t> group_of(points.size(), -1);
