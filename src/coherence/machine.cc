@@ -61,8 +61,7 @@ accessMethodName(AccessMethod method)
 CoherentMachine::CoherentMachine(const CoherenceParams &params,
                                  AccessMethod method)
     : _params(params), _method(method),
-      _directory(params.processors, params.coherenceUnitBytes),
-      _ring(32)
+      _directory(params.processors, params.coherenceUnitBytes)
 {
     _params.validate();
     for (std::uint32_t p = 0; p < params.processors; ++p) {
@@ -441,7 +440,7 @@ CoherentMachine::run(const ParallelWorkload &workload,
             proc.l2.flushAll();
         }
         _roBlocksPerPage.clear();
-        _ring = DiagRing(32);
+        _ring = DiagRing{};
         _res = CoherenceResult{};
         _res.workload = workload.name;
         _res.method = _method;

@@ -6,22 +6,17 @@
 namespace imo
 {
 
-DiagRing::DiagRing(std::size_t capacity)
-    : _events(capacity ? capacity : 1)
-{
-}
-
 std::vector<std::string>
 DiagRing::formatEvents() const
 {
-    const std::size_t cap = _events.size();
-    const std::size_t held =
-        _recorded < cap ? static_cast<std::size_t>(_recorded) : cap;
+    const std::size_t held = _recorded < capacity
+        ? static_cast<std::size_t>(_recorded) : capacity;
 
     std::vector<std::string> out;
     out.reserve(held);
-    // The oldest retained event sits at _next when the ring has wrapped.
-    std::size_t idx = _recorded < cap ? 0 : _next;
+    // Once the ring has wrapped, the oldest retained event sits in the
+    // next slot to overwrite.
+    std::size_t idx = _recorded < capacity ? 0 : _recorded % capacity;
     for (std::size_t i = 0; i < held; ++i) {
         const DiagEvent &e = _events[idx];
         out.push_back(simFormat(
@@ -29,7 +24,7 @@ DiagRing::formatEvents() const
             static_cast<unsigned long long>(e.cycle), e.tag,
             static_cast<unsigned long long>(e.pc),
             static_cast<unsigned long long>(e.arg)));
-        idx = (idx + 1) % cap;
+        idx = (idx + 1) % capacity;
     }
     return out;
 }
@@ -37,8 +32,8 @@ DiagRing::formatEvents() const
 void
 DiagRing::save(Serializer &s) const
 {
-    s.u64(_events.size());
-    s.u64(_next);
+    s.u64(capacity);
+    s.u64(_recorded % capacity);  // the next slot to overwrite
     s.u64(_recorded);
     for (const DiagEvent &e : _events) {
         s.u64(e.cycle);
@@ -52,18 +47,19 @@ void
 DiagRing::restore(Deserializer &d)
 {
     const std::uint64_t cap = d.u64();
-    sim_throw_if(cap == 0 || cap > 4096, ErrCode::BadCheckpoint,
-                 "diagnostic ring capacity %llu out of range",
-                 static_cast<unsigned long long>(cap));
-    _events.assign(cap, DiagEvent{});
-    _next = static_cast<std::size_t>(d.u64());
-    sim_throw_if(_next >= cap, ErrCode::BadCheckpoint,
-                 "diagnostic ring cursor out of range");
+    sim_throw_if(cap != capacity, ErrCode::BadCheckpoint,
+                 "diagnostic ring capacity %llu, expected %zu",
+                 static_cast<unsigned long long>(cap), capacity);
+    const std::uint64_t next = d.u64();
     _recorded = d.u64();
+    sim_throw_if(next != _recorded % capacity, ErrCode::BadCheckpoint,
+                 "diagnostic ring cursor %llu does not follow its %llu "
+                 "recorded events", static_cast<unsigned long long>(next),
+                 static_cast<unsigned long long>(_recorded));
     // Tags normally point at string literals; restored tags point into
     // an interned pool owned by the ring instead.
     _internedTags.clear();
-    _internedTags.reserve(cap);
+    _internedTags.reserve(capacity);
     for (DiagEvent &e : _events) {
         e.cycle = d.u64();
         _internedTags.push_back(d.str());

@@ -13,6 +13,7 @@
 #ifndef IMO_COMMON_DIAGRING_HH
 #define IMO_COMMON_DIAGRING_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,22 +40,24 @@ struct DiagEvent
 class DiagRing
 {
   public:
-    explicit DiagRing(std::size_t capacity = 32);
+    /** Events retained: a fixed power of two, so push() wraps with a
+     *  mask. */
+    static constexpr std::size_t capacity = 32;
+    static_assert((capacity & (capacity - 1)) == 0);
 
     /** Record one event, evicting the oldest when full. */
     void
     push(Cycle cycle, const char *tag, std::uint64_t pc = 0,
          std::uint64_t arg = 0)
     {
-        DiagEvent &e = _events[_next];
+        // The slot is the event count masked to the power-of-two
+        // capacity: no cursor to advance or wrap on the per-instruction
+        // hot path of both CPU models.
+        DiagEvent &e = _events[_recorded & (capacity - 1)];
         e.cycle = cycle;
         e.tag = tag;
         e.pc = pc;
         e.arg = arg;
-        // Wrap with a compare instead of a per-push modulo; this sits
-        // on the per-instruction hot path of both CPU models.
-        if (++_next == _events.size())
-            _next = 0;
         ++_recorded;
     }
 
@@ -67,14 +70,13 @@ class DiagRing
     /**
      * Checkpoint hooks. Restored tags are interned copies owned by the
      * ring (live tags point at string literals and cannot round-trip
-     * as pointers).
+     * as pointers). An image of any other capacity is BadCheckpoint.
      */
     void save(Serializer &s) const;
     void restore(Deserializer &d);
 
   private:
-    std::vector<DiagEvent> _events;
-    std::size_t _next = 0;
+    std::array<DiagEvent, capacity> _events{};
     std::uint64_t _recorded = 0;
     std::vector<std::string> _internedTags; //!< backing for restored tags
 };

@@ -70,40 +70,24 @@ struct SrcRegs
     std::uint8_t count = 0;
 };
 
-/** @return the register sources actually read by @p inst. Inline: the
- *  wakeup logic of both timing models calls this once per instruction. */
+/**
+ * @return the register sources actually read by @p inst, rs1 before
+ * rs2, with the unused slot zero. Reads of the hardwired integer zero
+ * register carry no dependence: they are compacted out with selects,
+ * not a loop, since the wakeup logic of both timing models calls this
+ * once per instruction.
+ */
 inline SrcRegs
 srcRegs(const Instruction &inst)
 {
+    const std::uint8_t n = opInfo(inst.op).srcs;
+    const bool use1 = (n >= 1) & (inst.rs1 != intReg(0));
+    const bool use2 = (n >= 2) & (inst.rs2 != intReg(0));
     SrcRegs out;
-    auto add = [&out](std::uint8_t r) { out.reg[out.count++] = r; };
-
-    switch (inst.op) {
-      case Op::ADD: case Op::SUB: case Op::MUL: case Op::DIV:
-      case Op::AND: case Op::OR: case Op::XOR: case Op::SLT:
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-      case Op::ST: case Op::FST:
-        add(inst.rs1);
-        add(inst.rs2);
-        break;
-      case Op::ADDI: case Op::ANDI: case Op::SLL: case Op::SRL:
-      case Op::SLTI: case Op::FSQRT: case Op::FMOV: case Op::CVTIF:
-      case Op::CVTFI: case Op::LD: case Op::FLD: case Op::PREFETCH:
-      case Op::JR: case Op::SETMHARR: case Op::SETMHRR:
-        add(inst.rs1);
-        break;
-      default:
-        break;
-    }
-
-    // Reads of the hardwired integer zero register carry no dependence.
-    SrcRegs filtered;
-    for (std::uint8_t i = 0; i < out.count; ++i) {
-        if (out.reg[i] != intReg(0))
-            filtered.reg[filtered.count++] = out.reg[i];
-    }
-    return filtered;
+    out.reg[0] = use1 ? inst.rs1 : (use2 ? inst.rs2 : 0);
+    out.reg[1] = use1 & use2 ? inst.rs2 : 0;
+    out.count = static_cast<std::uint8_t>(use1 + use2);
+    return out;
 }
 
 /**
@@ -113,19 +97,10 @@ srcRegs(const Instruction &inst)
 inline int
 dstReg(const Instruction &inst)
 {
-    switch (inst.op) {
-      case Op::ADD: case Op::ADDI: case Op::SUB: case Op::MUL:
-      case Op::DIV: case Op::AND: case Op::ANDI: case Op::OR:
-      case Op::XOR: case Op::SLL: case Op::SRL: case Op::SLT:
-      case Op::SLTI: case Op::LI: case Op::CVTFI: case Op::LD:
-      case Op::GETMHRR: case Op::JAL:
-        return inst.rd == intReg(0) ? -1 : inst.rd;
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FSQRT: case Op::FMOV: case Op::CVTIF: case Op::FLD:
-        return inst.rd;
-      default:
-        return -1;
-    }
+    const DstKind kind = opInfo(inst.op).dst;
+    const bool none = (kind == DstKind::None) |
+        ((kind == DstKind::Int) & (inst.rd == intReg(0)));
+    return none ? -1 : inst.rd;
 }
 
 } // namespace imo::isa

@@ -17,9 +17,9 @@
 #ifndef IMO_ISA_OP_HH
 #define IMO_ISA_OP_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-
-#include "common/logging.hh"
 
 namespace imo::isa
 {
@@ -109,121 +109,190 @@ enum class OpClass : std::uint8_t
     NumClasses
 };
 
-// The classification helpers below run several times per simulated
-// instruction in both timing models; they are defined inline so the
-// per-instruction loop never pays a cross-TU call for them. opName()
-// (cold, formatting only) stays out of line in op.cc.
+/** Which register file, if any, an operation writes through rd. */
+enum class DstKind : std::uint8_t
+{
+    None,   //!< no register result (or only a special register)
+    Int,    //!< rd names an integer register; writes to r0 are dropped
+    Fp,     //!< rd names an FP register
+};
+
+/** OpInfo::fpSrcs bits. */
+constexpr std::uint8_t fpRs1 = 1;   //!< rs1 names an FP register
+constexpr std::uint8_t fpRs2 = 2;   //!< rs2 names an FP register
+
+/** Static properties of one operation. */
+struct OpInfo
+{
+    const char *name = "?";           //!< mnemonic
+    OpClass cls = OpClass::Nop;       //!< functional-unit class
+    std::uint8_t srcs = 0;            //!< registers read: rs1, then rs2
+    std::uint8_t fpSrcs = 0;          //!< fpRs1 | fpRs2 bits
+    DstKind dst = DstKind::None;      //!< register file rd names
+};
+
+namespace detail
+{
+
+struct OpRow
+{
+    Op op;
+    OpInfo info;
+};
+
+// One row per operation: the single source of truth for every
+// classification helper below. Rows may appear in any order.
+inline constexpr OpRow opRows[] = {
+    // op           name          class            srcs fpSrcs        dst
+    {Op::ADD,       {"add",       OpClass::IntAlu,   2, 0,            DstKind::Int}},
+    {Op::ADDI,      {"addi",      OpClass::IntAlu,   1, 0,            DstKind::Int}},
+    {Op::SUB,       {"sub",       OpClass::IntAlu,   2, 0,            DstKind::Int}},
+    {Op::MUL,       {"mul",       OpClass::IntMul,   2, 0,            DstKind::Int}},
+    {Op::DIV,       {"div",       OpClass::IntDiv,   2, 0,            DstKind::Int}},
+    {Op::AND,       {"and",       OpClass::IntAlu,   2, 0,            DstKind::Int}},
+    {Op::ANDI,      {"andi",      OpClass::IntAlu,   1, 0,            DstKind::Int}},
+    {Op::OR,        {"or",        OpClass::IntAlu,   2, 0,            DstKind::Int}},
+    {Op::XOR,       {"xor",       OpClass::IntAlu,   2, 0,            DstKind::Int}},
+    {Op::SLL,       {"sll",       OpClass::IntAlu,   1, 0,            DstKind::Int}},
+    {Op::SRL,       {"srl",       OpClass::IntAlu,   1, 0,            DstKind::Int}},
+    {Op::SLT,       {"slt",       OpClass::IntAlu,   2, 0,            DstKind::Int}},
+    {Op::SLTI,      {"slti",      OpClass::IntAlu,   1, 0,            DstKind::Int}},
+    {Op::LI,        {"li",        OpClass::IntAlu,   0, 0,            DstKind::Int}},
+    {Op::FADD,      {"fadd",      OpClass::FpAlu,    2, fpRs1 | fpRs2, DstKind::Fp}},
+    {Op::FSUB,      {"fsub",      OpClass::FpAlu,    2, fpRs1 | fpRs2, DstKind::Fp}},
+    {Op::FMUL,      {"fmul",      OpClass::FpAlu,    2, fpRs1 | fpRs2, DstKind::Fp}},
+    {Op::FDIV,      {"fdiv",      OpClass::FpDiv,    2, fpRs1 | fpRs2, DstKind::Fp}},
+    {Op::FSQRT,     {"fsqrt",     OpClass::FpSqrt,   1, fpRs1,        DstKind::Fp}},
+    {Op::FMOV,      {"fmov",      OpClass::FpAlu,    1, fpRs1,        DstKind::Fp}},
+    {Op::CVTIF,     {"cvtif",     OpClass::FpAlu,    1, 0,            DstKind::Fp}},
+    {Op::CVTFI,     {"cvtfi",     OpClass::IntAlu,   1, fpRs1,        DstKind::Int}},
+    {Op::LD,        {"ld",        OpClass::Load,     1, 0,            DstKind::Int}},
+    {Op::ST,        {"st",        OpClass::Store,    2, 0,            DstKind::None}},
+    {Op::FLD,       {"fld",       OpClass::Load,     1, 0,            DstKind::Fp}},
+    {Op::FST,       {"fst",       OpClass::Store,    2, fpRs2,        DstKind::None}},
+    {Op::PREFETCH,  {"prefetch",  OpClass::Prefetch, 1, 0,            DstKind::None}},
+    {Op::BEQ,       {"beq",       OpClass::Branch,   2, 0,            DstKind::None}},
+    {Op::BNE,       {"bne",       OpClass::Branch,   2, 0,            DstKind::None}},
+    {Op::BLT,       {"blt",       OpClass::Branch,   2, 0,            DstKind::None}},
+    {Op::BGE,       {"bge",       OpClass::Branch,   2, 0,            DstKind::None}},
+    {Op::J,         {"j",         OpClass::Jump,     0, 0,            DstKind::None}},
+    {Op::JAL,       {"jal",       OpClass::Jump,     0, 0,            DstKind::Int}},
+    {Op::JR,        {"jr",        OpClass::Jump,     1, 0,            DstKind::None}},
+    {Op::SETMHAR,   {"setmhar",   OpClass::IntAlu,   0, 0,            DstKind::None}},
+    {Op::SETMHARR,  {"setmharr",  OpClass::IntAlu,   1, 0,            DstKind::None}},
+    {Op::GETMHRR,   {"getmhrr",   OpClass::IntAlu,   0, 0,            DstKind::Int}},
+    {Op::SETMHRR,   {"setmhrr",   OpClass::IntAlu,   1, 0,            DstKind::None}},
+    {Op::RETMH,     {"retmh",     OpClass::Jump,     0, 0,            DstKind::None}},
+    {Op::BRMISS,    {"brmiss",    OpClass::Branch,   0, 0,            DstKind::None}},
+    {Op::BRMISS2,   {"brmiss2",   OpClass::Branch,   0, 0,            DstKind::None}},
+    {Op::SETMHARPC, {"setmharpc", OpClass::IntAlu,   0, 0,            DstKind::None}},
+    {Op::SETMHLVL,  {"setmhlvl",  OpClass::IntAlu,   0, 0,            DstKind::None}},
+    {Op::NOP,       {"nop",       OpClass::Nop,      0, 0,            DstKind::None}},
+    {Op::HALT,      {"halt",      OpClass::Nop,      0, 0,            DstKind::None}},
+};
+
+/** Index opRows by opcode. Every byte value has a row, so an invalid
+ *  opcode (which program validation rejects) reads the default "?"
+ *  row instead of out of bounds. */
+consteval std::array<OpInfo, 256>
+buildOpTable()
+{
+    std::array<OpInfo, 256> table{};
+    for (const OpRow &row : opRows)
+        table[static_cast<std::size_t>(row.op)] = row.info;
+    return table;
+}
+
+/** True when every opcode below NumOps has exactly one row. */
+consteval bool
+opRowsComplete()
+{
+    std::array<int, static_cast<std::size_t>(Op::NumOps)> seen{};
+    for (const OpRow &row : opRows) {
+        if (row.op >= Op::NumOps)
+            return false;
+        ++seen[static_cast<std::size_t>(row.op)];
+    }
+    for (const int n : seen) {
+        if (n != 1)
+            return false;
+    }
+    return true;
+}
+
+static_assert(opRowsComplete(), "opRows must list every Op exactly once");
+
+inline constexpr std::array<OpInfo, 256> opTable = buildOpTable();
+
+} // namespace detail
+
+// The helpers below run several times per simulated instruction in
+// both timing models: each is one table read, with no switch.
+
+/** @return the static properties of @p op. */
+constexpr const OpInfo &
+opInfo(Op op)
+{
+    return detail::opTable[static_cast<std::uint8_t>(op)];
+}
 
 /** @return the functional-unit class of @p op. */
-inline OpClass
+constexpr OpClass
 opClass(Op op)
 {
-    switch (op) {
-      case Op::ADD: case Op::ADDI: case Op::SUB: case Op::AND:
-      case Op::ANDI: case Op::OR: case Op::XOR: case Op::SLL:
-      case Op::SRL: case Op::SLT: case Op::SLTI: case Op::LI:
-      case Op::CVTFI:
-      case Op::SETMHAR: case Op::SETMHARR: case Op::GETMHRR:
-      case Op::SETMHRR: case Op::SETMHARPC: case Op::SETMHLVL:
-        return OpClass::IntAlu;
-      case Op::MUL:
-        return OpClass::IntMul;
-      case Op::DIV:
-        return OpClass::IntDiv;
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FMOV:
-      case Op::CVTIF:
-        return OpClass::FpAlu;
-      case Op::FDIV:
-        return OpClass::FpDiv;
-      case Op::FSQRT:
-        return OpClass::FpSqrt;
-      case Op::LD: case Op::FLD:
-        return OpClass::Load;
-      case Op::ST: case Op::FST:
-        return OpClass::Store;
-      case Op::PREFETCH:
-        return OpClass::Prefetch;
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-      case Op::BRMISS: case Op::BRMISS2:
-        return OpClass::Branch;
-      case Op::J: case Op::JAL: case Op::JR: case Op::RETMH:
-        return OpClass::Jump;
-      case Op::NOP: case Op::HALT:
-        return OpClass::Nop;
-      case Op::NumOps:
-        break;
-    }
-    panic("opClass: bad op %d", static_cast<int>(op));
+    return opInfo(op).cls;
 }
 
-/** @return the mnemonic for @p op. */
-const char *opName(Op op);
-
-/** @return true for LD/ST/FLD/FST (PREFETCH excluded: it cannot trap). */
-inline bool
-isDataRef(Op op)
+/** @return the mnemonic for @p op ("?" for an invalid opcode). */
+constexpr const char *
+opName(Op op)
 {
-    return op == Op::LD || op == Op::ST || op == Op::FLD || op == Op::FST;
+    return opInfo(op).name;
 }
 
-/** @return true for loads (LD/FLD). */
-inline bool
+/** @return true for loads (LD/FLD). Two compares on the op itself: the
+ *  executor asks this of an op it has already dispatched on. */
+constexpr bool
 isLoad(Op op)
 {
     return op == Op::LD || op == Op::FLD;
 }
 
 /** @return true for stores (ST/FST). */
-inline bool
+constexpr bool
 isStore(Op op)
 {
     return op == Op::ST || op == Op::FST;
 }
 
-/** @return true for any op that may redirect the PC. */
-inline bool
-isControl(Op op)
+/** @return true for LD/ST/FLD/FST (PREFETCH excluded: it cannot trap). */
+constexpr bool
+isDataRef(Op op)
 {
-    switch (opClass(op)) {
-      case OpClass::Branch:
-      case OpClass::Jump:
-        return true;
-      default:
-        return false;
-    }
+    const OpClass cls = opClass(op);
+    return cls == OpClass::Load || cls == OpClass::Store;
 }
 
 /** @return true for conditional branches (outcome not known at decode). */
-inline bool
+constexpr bool
 isCondBranch(Op op)
 {
     return opClass(op) == OpClass::Branch;
 }
 
-/** @return true if the op reads the FP register file for its sources. */
-inline bool
-readsFpSources(Op op)
+/** @return true for any op that may redirect the PC. */
+constexpr bool
+isControl(Op op)
 {
-    switch (op) {
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FSQRT: case Op::FMOV: case Op::CVTFI: case Op::FST:
-        return true;
-      default:
-        return false;
-    }
+    const OpClass cls = opClass(op);
+    return cls == OpClass::Branch || cls == OpClass::Jump;
 }
 
 /** @return true if the op writes the FP register file. */
-inline bool
+constexpr bool
 writesFp(Op op)
 {
-    switch (op) {
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FSQRT: case Op::FMOV: case Op::CVTIF: case Op::FLD:
-        return true;
-      default:
-        return false;
-    }
+    return opInfo(op).dst == DstKind::Fp;
 }
 
 } // namespace imo::isa

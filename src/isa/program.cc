@@ -20,66 +20,6 @@ complain(std::string *why, const char *fmt, InstAddr pc, const char *extra)
     return false;
 }
 
-/** Does this op's rs1 name an FP register? */
-bool
-rs1IsFp(Op op)
-{
-    switch (op) {
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FSQRT: case Op::FMOV: case Op::CVTFI:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** Does this op's rs2 name an FP register? */
-bool
-rs2IsFp(Op op)
-{
-    switch (op) {
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FST:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-usesRs1(Op op)
-{
-    switch (op) {
-      case Op::ADD: case Op::ADDI: case Op::SUB: case Op::MUL:
-      case Op::DIV: case Op::AND: case Op::ANDI: case Op::OR:
-      case Op::XOR: case Op::SLL: case Op::SRL: case Op::SLT:
-      case Op::SLTI: case Op::FADD: case Op::FSUB: case Op::FMUL:
-      case Op::FDIV: case Op::FSQRT: case Op::FMOV: case Op::CVTIF:
-      case Op::CVTFI: case Op::LD: case Op::ST: case Op::FLD:
-      case Op::FST: case Op::PREFETCH: case Op::BEQ: case Op::BNE:
-      case Op::BLT: case Op::BGE: case Op::JR: case Op::SETMHARR:
-      case Op::SETMHRR:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-usesRs2(Op op)
-{
-    switch (op) {
-      case Op::ADD: case Op::SUB: case Op::MUL: case Op::DIV:
-      case Op::AND: case Op::OR: case Op::XOR: case Op::SLT:
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::ST: case Op::FST: case Op::BEQ: case Op::BNE:
-      case Op::BLT: case Op::BGE:
-        return true;
-      default:
-        return false;
-    }
-}
-
 bool
 hasImmTarget(Op op)
 {
@@ -121,9 +61,12 @@ Program::validate(std::string *why) const
             return true;
         };
 
-        if (usesRs1(in.op) && !check_reg(in.rs1, rs1IsFp(in.op), "rs1"))
+        const OpInfo &info = opInfo(in.op);
+        if (info.srcs >= 1 &&
+            !check_reg(in.rs1, info.fpSrcs & fpRs1, "rs1"))
             return false;
-        if (usesRs2(in.op) && !check_reg(in.rs2, rs2IsFp(in.op), "rs2"))
+        if (info.srcs >= 2 &&
+            !check_reg(in.rs2, info.fpSrcs & fpRs2, "rs2"))
             return false;
         if (dstReg(in) >= 0 &&
             !check_reg(static_cast<std::uint8_t>(dstReg(in)),

@@ -14,8 +14,13 @@ SetAssocCache::SetAssocCache(CacheGeometry geom) : _geom(geom)
     _geom.compile();
     _lines.resize(_geom.numLines());
     _mru.assign(_geom.numSets(), 0);
+    // Every line starts invalid with the same stamp, so each set's
+    // recency order is its ways in index order, way 0 first: what
+    // rebuildOrder() yields, without sorting every set of a large L2.
     _order.resize(_geom.numLines());
-    rebuildOrder();
+    const std::uint32_t assoc = _geom.assoc;
+    for (std::size_t i = 0; i < _order.size(); i += assoc)
+        std::iota(_order.begin() + i, _order.begin() + i + assoc, 0u);
 }
 
 void

@@ -56,8 +56,8 @@ struct LatencyTable
     Cycle fpSqrt = 20;
 
     /** @return the execution latency for @p cls (memory classes return
-     *  1: their real latency comes from the memory system). Inline:
-     *  called once per instruction by both timing models. */
+     *  1: their real latency comes from the memory system). The
+     *  timing models read it per class once per run (CoreTiming). */
     Cycle
     forClass(isa::OpClass cls) const
     {

@@ -10,12 +10,42 @@
 namespace imo::pipeline
 {
 
+namespace
+{
+
+/** The functional-unit group @p cls issues to. With no memory units,
+ *  memory operations go through the integer units (FuPool). */
+FuGroup
+fuGroupOf(isa::OpClass cls, const FuPool &fus)
+{
+    using isa::OpClass;
+    switch (cls) {
+      case OpClass::IntAlu: case OpClass::IntMul: case OpClass::IntDiv:
+        return FuGroup::Int;
+      case OpClass::FpAlu: case OpClass::FpDiv: case OpClass::FpSqrt:
+        return FuGroup::Fp;
+      case OpClass::Branch: case OpClass::Jump:
+        return FuGroup::Branch;
+      case OpClass::Load: case OpClass::Store: case OpClass::Prefetch:
+        return fus.memUnits == 0 ? FuGroup::Int : FuGroup::Mem;
+      default:
+        return FuGroup::None;
+    }
+}
+
+} // anonymous namespace
+
 CoreTiming::CoreTiming(const MachineConfig &cfg)
     : fetch(cfg.issueWidth, cfg.takenBranchBubble), ledger(cfg.issueWidth),
       mem(cfg.mem), bimodal(cfg.predictorEntries),
-      gshare(cfg.predictorEntries), ring(32), obs(cfg.obs),
+      gshare(cfg.predictorEntries), obs(cfg.obs),
       trace(cfg.obs ? cfg.obs->traceSink() : nullptr)
 {
+    for (std::size_t c = 0; c < numOpClasses; ++c) {
+        const auto cls = static_cast<isa::OpClass>(c);
+        latOf[c] = cfg.lat.forClass(cls);
+        fuOf[c] = fuGroupOf(cls, cfg.fus);
+    }
     mem.setFaultInjector(cfg.faults);
     mem.setTraceSink(trace);
 }

@@ -40,25 +40,8 @@
 namespace imo::pipeline
 {
 
-/** The functional-unit group @p cls issues to. With no memory units,
- *  memory operations go through the integer units (FuPool). */
-inline FuGroup
-fuGroupOf(isa::OpClass cls, const FuPool &fus)
-{
-    using isa::OpClass;
-    switch (cls) {
-      case OpClass::IntAlu: case OpClass::IntMul: case OpClass::IntDiv:
-        return FuGroup::Int;
-      case OpClass::FpAlu: case OpClass::FpDiv: case OpClass::FpSqrt:
-        return FuGroup::Fp;
-      case OpClass::Branch: case OpClass::Jump:
-        return FuGroup::Branch;
-      case OpClass::Load: case OpClass::Store: case OpClass::Prefetch:
-        return fus.memUnits == 0 ? FuGroup::Int : FuGroup::Mem;
-      default:
-        return FuGroup::None;
-    }
-}
+constexpr std::size_t numOpClasses =
+    static_cast<std::size_t>(isa::OpClass::NumClasses);
 
 /** What the memory system did with one accepted reference. */
 struct MemAccess
@@ -78,6 +61,11 @@ struct CoreTiming
     CoreTiming(const CoreTiming &) = delete;
     CoreTiming &operator=(const CoreTiming &) = delete;
 
+    // Per-class execution latency and functional-unit group, read once
+    // per instruction instead of switching on the class.
+    std::array<Cycle, numOpClasses> latOf{};
+    std::array<FuGroup, numOpClasses> fuOf{};
+
     FetchEngine fetch;
     GraduationLedger ledger;
     memory::TimingMemorySystem mem;
@@ -90,6 +78,17 @@ struct CoreTiming
     std::array<Cycle, isa::numUnifiedRegs> regReady{};
     Cycle ccReady = 0;
     Cycle mhrrReady = 0;
+
+    /** The cycle every register source in @p srcs is ready: two fixed
+     *  reads, each masked to zero when its slot is unused. */
+    Cycle
+    srcReady(const isa::SrcRegs &srcs) const
+    {
+        const Cycle m0 = srcs.count > 0 ? ~Cycle{0} : 0;
+        const Cycle m1 = srcs.count > 1 ? ~Cycle{0} : 0;
+        return std::max(regReady[srcs.reg[0]] & m0,
+                        regReady[srcs.reg[1]] & m1);
+    }
 
     // Informing trap service measurement: dispatch cycle of the trap
     // whose RETMH has not yet completed (handlers cannot nest).

@@ -83,6 +83,7 @@ InOrderCpu::step(func::TraceSource &src)
 
     const isa::Instruction &in = r.inst;
     const OpClass cls = isa::opClass(in.op);
+    const auto ci = static_cast<std::size_t>(cls);
 
     const Cycle fc = t.fetch.fetchNext();
     Cycle earliest = std::max({fc + cfg.frontendDepth, t.lastIssue,
@@ -90,20 +91,20 @@ InOrderCpu::step(func::TraceSource &src)
 
     // Source operands (presence bits), with the 21164 replay trap:
     // if this instruction would have issued inside a missing load's
-    // hit shadow, it is flushed and replayed, paying the penalty.
+    // hit shadow, it is flushed and replayed, paying the penalty. Both
+    // source slots are always read; an unused slot is masked off, and
+    // the trap test is a select, so the check is straight-line code.
     const Cycle base = earliest;
     const isa::SrcRegs srcs = isa::srcRegs(in);
+    earliest = std::max(earliest, t.srcReady(srcs));
     bool replayed = false;
-    for (std::uint8_t i = 0; i < srcs.count; ++i) {
+    for (std::uint8_t i = 0; i < 2; ++i) {
         const std::uint8_t s = srcs.reg[i];
-        Cycle constraint = t.regReady[s];
-        if (t.regFromMiss[s] && base < t.regMissDetect[s]) {
-            constraint = std::max(constraint,
-                                  t.regMissDetect[s] +
-                                  cfg.replayTrapPenalty);
-            replayed = true;
-        }
-        earliest = std::max(earliest, constraint);
+        const bool trap = (i < srcs.count) & t.regFromMiss[s] &
+            (base < t.regMissDetect[s]);
+        earliest = std::max(earliest, trap ? t.regMissDetect[s] +
+                                      cfg.replayTrapPenalty : 0);
+        replayed |= trap;
     }
     if (replayed) {
         ++t.pipe.replayTraps;
@@ -114,12 +115,12 @@ InOrderCpu::step(func::TraceSource &src)
     if (in.op == Op::RETMH || in.op == Op::GETMHRR)
         earliest = std::max(earliest, t.mhrrReady);
 
-    const Cycle issue = t.port.reserve(fuGroupOf(cls, cfg.fus), earliest);
+    const Cycle issue = t.port.reserve(t.fuOf[ci], earliest);
     t.lastIssue = issue;
     IMO_TRACE(t.trace, issue, obs::Cat::Issue, "issue", r.pc,
               static_cast<std::uint64_t>(in.op));
 
-    Cycle complete = issue + cfg.lat.forClass(cls);
+    Cycle complete = issue + t.latOf[ci];
     bool cache_stall = false;
 
     switch (cls) {

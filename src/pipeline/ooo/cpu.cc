@@ -1,6 +1,7 @@
 #include "pipeline/ooo/cpu.hh"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/checkpoint.hh"
@@ -27,6 +28,20 @@ struct OooCpu::Timing : CoreTiming
           fuBr(cfg.fus.branchUnits), fuMem(cfg.fus.memUnits),
           gradHistory(cfg.robSize, 0)
     {
+        for (std::size_t c = 0; c < numOpClasses; ++c)
+            fuTable[c] = tableFor(fuOf[c]);
+    }
+
+    SlotTable *
+    tableFor(FuGroup g)
+    {
+        switch (g) {
+          case FuGroup::Int: return &fuInt;
+          case FuGroup::Fp: return &fuFp;
+          case FuGroup::Branch: return &fuBr;
+          case FuGroup::Mem: return &fuMem;
+          default: return nullptr;
+        }
     }
 
     InOrderIssuePort dispatchPort;
@@ -35,9 +50,12 @@ struct OooCpu::Timing : CoreTiming
     SlotTable fuFp;
     SlotTable fuBr;
     SlotTable fuMem;
+    std::array<SlotTable *, numOpClasses> fuTable{};  //!< null: no unit
 
-    // Reorder buffer occupancy: graduation cycle per slot.
+    // Reorder buffer occupancy: graduation cycle per slot. robPos is
+    // index % robSize, advanced with a compare instead of a divide.
     std::vector<Cycle> gradHistory;
+    std::size_t robPos = 0;
 
     // Unresolved predicted branches (shadow-state checkpoints).
     std::vector<Cycle> outstandingBranches;
@@ -78,23 +96,13 @@ OooCpu::step(func::TraceSource &src)
     const bool branch_style =
         cfg.trapDispatch == TrapDispatch::BranchStyle;
 
-    auto fu_for = [&](FuGroup g) -> SlotTable * {
-        switch (g) {
-          case FuGroup::Int: return &t.fuInt;
-          case FuGroup::Fp: return &t.fuFp;
-          case FuGroup::Branch: return &t.fuBr;
-          case FuGroup::Mem: return &t.fuMem;
-          default: return nullptr;
-        }
-    };
-
     func::TraceRecord r;
     if (!src.next(r))
         return false;
 
     const isa::Instruction &in = r.inst;
     const OpClass cls = isa::opClass(in.op);
-    const FuGroup group = fuGroupOf(cls, cfg.fus);
+    const auto ci = static_cast<std::size_t>(cls);
 
     const Cycle fc = t.fetch.fetchNext();
     Cycle d = fc + cfg.frontendDepth;
@@ -102,7 +110,7 @@ OooCpu::step(func::TraceSource &src)
     // Reorder-buffer space: reuse the entry of the instruction
     // robSize back, one cycle after it graduated.
     if (t.index >= cfg.robSize) {
-        d = std::max(d, t.gradHistory[t.index % cfg.robSize] + 1);
+        d = std::max(d, t.gradHistory[t.robPos] + 1);
     }
     d = t.dispatchPort.reserve(FuGroup::None, d);
 
@@ -128,21 +136,18 @@ OooCpu::step(func::TraceSource &src)
     }
 
     // Wakeup: true data dependences only (renaming removes WAR/WAW).
-    Cycle ready = d + 1;
-    const isa::SrcRegs srcs = isa::srcRegs(in);
-    for (std::uint8_t i = 0; i < srcs.count; ++i)
-        ready = std::max(ready, t.regReady[srcs.reg[i]]);
+    Cycle ready = std::max(d + 1, t.srcReady(isa::srcRegs(in)));
     if (in.op == Op::BRMISS || in.op == Op::BRMISS2)
         ready = std::max(ready, t.ccReady);
     if (in.op == Op::RETMH || in.op == Op::GETMHRR)
         ready = std::max(ready, t.mhrrReady);
 
-    SlotTable *fu = fu_for(group);
+    SlotTable *fu = t.fuTable[ci];
     const Cycle issue = fu ? fu->reserve(ready) : ready;
     IMO_TRACE(t.trace, issue, obs::Cat::Issue, "issue", r.pc,
               static_cast<std::uint64_t>(in.op));
 
-    Cycle complete = issue + cfg.lat.forClass(cls);
+    Cycle complete = issue + t.latOf[ci];
     bool cache_stall = false;
     Cycle resolve_for_checkpoint = 0;
     memory::MshrRef mshr_ref;
@@ -251,7 +256,7 @@ OooCpu::step(func::TraceSource &src)
 
     // A reorder-buffer entry graduates the cycle after it completes.
     const Cycle grad = t.retire(cfg, r, complete, complete + 1, cache_stall);
-    t.gradHistory[t.index % cfg.robSize] = grad;
+    t.gradHistory[t.robPos] = grad;
 
     // With the extended MSHR lifetime of section 3.3, demand-miss
     // entries stay pinned until the owning instruction graduates.
@@ -261,7 +266,7 @@ OooCpu::step(func::TraceSource &src)
 
     // Periodically prune reservation bookkeeping behind the ROB.
     if ((t.index & 0xfff) == 0 && t.index >= cfg.robSize) {
-        const Cycle frontier = t.gradHistory[t.index % cfg.robSize];
+        const Cycle frontier = t.gradHistory[t.robPos];
         t.fuInt.pruneBelow(frontier);
         t.fuFp.pruneBelow(frontier);
         t.fuBr.pruneBelow(frontier);
@@ -269,6 +274,8 @@ OooCpu::step(func::TraceSource &src)
     }
 
     ++t.index;
+    if (++t.robPos == t.gradHistory.size())
+        t.robPos = 0;
     return true;
 }
 
@@ -335,6 +342,7 @@ OooCpu::restore(Deserializer &d)
         c = d.u64();
     t.outstandingBranches = d.vecU64();
     t.index = d.u64();
+    t.robPos = static_cast<std::size_t>(t.index % t.gradHistory.size());
     t.lastWrongPathAddr = d.u64();
     t.trapPending = d.b();
     t.trapDispatch = d.u64();

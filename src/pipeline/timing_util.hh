@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/checkpoint.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -107,9 +108,10 @@ class SlotTable
 {
   public:
     explicit SlotTable(std::uint32_t units_per_cycle)
-        : _units(units_per_cycle), _ring(kWindow, 0)
+        : _units(units_per_cycle)
     {
-        panic_if(units_per_cycle == 0, "slot table with zero units");
+        panic_if(units_per_cycle == 0 || units_per_cycle > 255,
+                 "slot table with %u units", units_per_cycle);
     }
 
     /** Reserve the first cycle >= @p earliest with a free unit. */
@@ -120,7 +122,7 @@ class SlotTable
         if (c >= _base && c < _base + kWindow) [[likely]] {
             // In-window fast path: scan the ring until a free cycle.
             while (c < _base + kWindow) {
-                std::uint32_t &used = _ring[c & (kWindow - 1)];
+                std::uint8_t &used = _ring[c & (kWindow - 1)];
                 if (used < _units) {
                     ++used;
                     return c;
@@ -145,15 +147,21 @@ class SlotTable
         // any spilled counts that now fall inside it back into the
         // ring (a count may only live in one of the two structures).
         if (frontier - _base >= kWindow) {
-            std::fill(_ring.begin(), _ring.end(), 0);
+            _ring.fill(0);
         } else {
-            for (Cycle c = _base; c < frontier; ++c)
-                _ring[c & (kWindow - 1)] = 0;
+            // The leaving cycles are at most two contiguous spans of
+            // the ring: up to its end, then from its start.
+            const std::size_t from = _base & (kWindow - 1);
+            const std::size_t n = frontier - _base;
+            const std::size_t head = std::min<std::size_t>(n, kWindow - from);
+            std::fill_n(_ring.begin() + from, head, 0);
+            std::fill_n(_ring.begin(), n - head, 0);
         }
         _base = frontier;
         auto it = _spill.begin();
         while (it != _spill.end() && it->first < _base + kWindow) {
-            _ring[it->first & (kWindow - 1)] = it->second;
+            _ring[it->first & (kWindow - 1)] =
+                static_cast<std::uint8_t>(it->second);
             it = _spill.erase(it);
         }
     }
@@ -170,7 +178,7 @@ class SlotTable
             if (count)
                 ++entries;
         }
-        for (const std::uint32_t count : _ring) {
+        for (const std::uint8_t count : _ring) {
             if (count)
                 ++entries;
         }
@@ -197,12 +205,15 @@ class SlotTable
     restore(Deserializer &d)
     {
         _spill.clear();
-        std::fill(_ring.begin(), _ring.end(), 0);
+        _ring.fill(0);
         const std::uint64_t count = d.u64();
         bool first = true;
         for (std::uint64_t i = 0; i < count; ++i) {
             const Cycle cycle = d.u64();
             const std::uint32_t used = d.u32();
+            sim_throw_if(used == 0 || used > _units, ErrCode::BadCheckpoint,
+                         "slot table holds %u reservations in one cycle "
+                         "of %u units", used, _units);
             if (first) {
                 // Anchor the window at the oldest live cycle (pairs
                 // arrive in ascending order).
@@ -210,7 +221,8 @@ class SlotTable
                 first = false;
             }
             if (cycle >= _base && cycle < _base + kWindow)
-                _ring[cycle & (kWindow - 1)] = used;
+                _ring[cycle & (kWindow - 1)] =
+                    static_cast<std::uint8_t>(used);
             else
                 _spill[cycle] = used;
         }
@@ -242,7 +254,9 @@ class SlotTable
 
     std::uint32_t _units;
     Cycle _base = 0;
-    std::vector<std::uint32_t> _ring;       //!< counts for [_base, _base+W)
+    // Counts for [_base, _base + W); a count never exceeds _units, so a
+    // byte holds it and the four OOO tables stay small in the host cache.
+    std::array<std::uint8_t, kWindow> _ring{};
     std::map<Cycle, std::uint32_t> _spill;  //!< counts outside the window
 };
 

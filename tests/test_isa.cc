@@ -68,6 +68,176 @@ TEST(Op, EveryOpHasAName)
     }
 }
 
+// The switch-based classification the op table replaced, kept here as
+// the reference it must match for every opcode.
+namespace reference
+{
+
+OpClass
+opClass(Op op)
+{
+    switch (op) {
+      case Op::ADD: case Op::ADDI: case Op::SUB: case Op::AND:
+      case Op::ANDI: case Op::OR: case Op::XOR: case Op::SLL:
+      case Op::SRL: case Op::SLT: case Op::SLTI: case Op::LI:
+      case Op::CVTFI:
+      case Op::SETMHAR: case Op::SETMHARR: case Op::GETMHRR:
+      case Op::SETMHRR: case Op::SETMHARPC: case Op::SETMHLVL:
+        return OpClass::IntAlu;
+      case Op::MUL:
+        return OpClass::IntMul;
+      case Op::DIV:
+        return OpClass::IntDiv;
+      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FMOV:
+      case Op::CVTIF:
+        return OpClass::FpAlu;
+      case Op::FDIV:
+        return OpClass::FpDiv;
+      case Op::FSQRT:
+        return OpClass::FpSqrt;
+      case Op::LD: case Op::FLD:
+        return OpClass::Load;
+      case Op::ST: case Op::FST:
+        return OpClass::Store;
+      case Op::PREFETCH:
+        return OpClass::Prefetch;
+      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
+      case Op::BRMISS: case Op::BRMISS2:
+        return OpClass::Branch;
+      case Op::J: case Op::JAL: case Op::JR: case Op::RETMH:
+        return OpClass::Jump;
+      case Op::NOP: case Op::HALT:
+        return OpClass::Nop;
+      case Op::NumOps:
+        break;
+    }
+    return OpClass::NumClasses;
+}
+
+SrcRegs
+srcRegs(const Instruction &inst)
+{
+    SrcRegs out;
+    auto add = [&out](std::uint8_t r) { out.reg[out.count++] = r; };
+
+    switch (inst.op) {
+      case Op::ADD: case Op::SUB: case Op::MUL: case Op::DIV:
+      case Op::AND: case Op::OR: case Op::XOR: case Op::SLT:
+      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
+      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
+      case Op::ST: case Op::FST:
+        add(inst.rs1);
+        add(inst.rs2);
+        break;
+      case Op::ADDI: case Op::ANDI: case Op::SLL: case Op::SRL:
+      case Op::SLTI: case Op::FSQRT: case Op::FMOV: case Op::CVTIF:
+      case Op::CVTFI: case Op::LD: case Op::FLD: case Op::PREFETCH:
+      case Op::JR: case Op::SETMHARR: case Op::SETMHRR:
+        add(inst.rs1);
+        break;
+      default:
+        break;
+    }
+
+    SrcRegs filtered;
+    for (std::uint8_t i = 0; i < out.count; ++i) {
+        if (out.reg[i] != intReg(0))
+            filtered.reg[filtered.count++] = out.reg[i];
+    }
+    return filtered;
+}
+
+int
+dstReg(const Instruction &inst)
+{
+    switch (inst.op) {
+      case Op::ADD: case Op::ADDI: case Op::SUB: case Op::MUL:
+      case Op::DIV: case Op::AND: case Op::ANDI: case Op::OR:
+      case Op::XOR: case Op::SLL: case Op::SRL: case Op::SLT:
+      case Op::SLTI: case Op::LI: case Op::CVTFI: case Op::LD:
+      case Op::GETMHRR: case Op::JAL:
+        return inst.rd == intReg(0) ? -1 : inst.rd;
+      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
+      case Op::FSQRT: case Op::FMOV: case Op::CVTIF: case Op::FLD:
+        return inst.rd;
+      default:
+        return -1;
+    }
+}
+
+/** Program validation's register-file rules. */
+bool
+rs1IsFp(Op op)
+{
+    switch (op) {
+      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
+      case Op::FSQRT: case Op::FMOV: case Op::CVTFI:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+rs2IsFp(Op op)
+{
+    switch (op) {
+      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
+      case Op::FST:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+writesFp(Op op)
+{
+    switch (op) {
+      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
+      case Op::FSQRT: case Op::FMOV: case Op::CVTIF: case Op::FLD:
+        return true;
+      default:
+        return false;
+    }
+}
+
+} // namespace reference
+
+TEST(Isa, OpTableMatchesReference)
+{
+    const std::uint8_t regs[] = {intReg(0), intReg(7), fpReg(3)};
+    for (int i = 0; i < static_cast<int>(Op::NumOps); ++i) {
+        const Op op = static_cast<Op>(i);
+        SCOPED_TRACE(opName(op));
+        EXPECT_EQ(opClass(op), reference::opClass(op));
+        EXPECT_EQ(isDataRef(op),
+                  op == Op::LD || op == Op::ST || op == Op::FLD ||
+                  op == Op::FST);
+        EXPECT_EQ(isCondBranch(op),
+                  reference::opClass(op) == OpClass::Branch);
+        EXPECT_EQ(writesFp(op), reference::writesFp(op));
+        EXPECT_EQ((opInfo(op).fpSrcs & fpRs1) != 0, reference::rs1IsFp(op));
+        EXPECT_EQ((opInfo(op).fpSrcs & fpRs2) != 0, reference::rs2IsFp(op));
+        for (const std::uint8_t rs1 : regs) {
+            for (const std::uint8_t rs2 : regs) {
+                for (const std::uint8_t rd : regs) {
+                    const Instruction in{
+                        .op = op, .rd = rd, .rs1 = rs1, .rs2 = rs2};
+                    const SrcRegs got = srcRegs(in);
+                    const SrcRegs want = reference::srcRegs(in);
+                    EXPECT_EQ(got.count, want.count)
+                        << "rs1 " << int(rs1) << " rs2 " << int(rs2);
+                    EXPECT_EQ(got.reg, want.reg)
+                        << "rs1 " << int(rs1) << " rs2 " << int(rs2);
+                    EXPECT_EQ(dstReg(in), reference::dstReg(in))
+                        << "rd " << int(rd);
+                }
+            }
+        }
+    }
+}
+
 TEST(Instruction, SrcRegsThreeOperand)
 {
     Instruction in{.op = Op::ADD, .rd = 3, .rs1 = 1, .rs2 = 2};

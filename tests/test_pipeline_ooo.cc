@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <vector>
+
+#include "common/checkpoint.hh"
 #include "common/error.hh"
 
 #include "pipeline/ooo/cpu.hh"
 #include "pipeline/simulate.hh"
+#include "pipeline/timing_util.hh"
 #include "trace_helpers.hh"
 #include "workloads/suite.hh"
 
@@ -36,6 +43,107 @@ run(TraceBuilder &tb, const MachineConfig &config)
     auto src = tb.source();
     OooCpu cpu(config);
     return cpu.run(src);
+}
+
+/** The ordered-map functional-unit table SlotTable must behave as. */
+struct RefSlotTable
+{
+    std::uint32_t units;
+    std::map<Cycle, std::uint32_t> used;
+
+    Cycle
+    reserve(Cycle earliest)
+    {
+        Cycle c = earliest;
+        while (used.count(c) && used[c] >= units)
+            ++c;
+        ++used[c];
+        return c;
+    }
+
+    void
+    pruneBelow(Cycle frontier)
+    {
+        used.erase(used.begin(), used.lower_bound(frontier));
+    }
+
+    void
+    save(Serializer &s) const
+    {
+        s.u64(used.size());
+        for (const auto &[cycle, count] : used) {
+            s.u64(cycle);
+            s.u32(count);
+        }
+    }
+};
+
+template <typename Table>
+std::vector<std::uint8_t>
+imageOf(const Table &table)
+{
+    Serializer s;
+    s.beginSection("slots");
+    table.save(s);
+    s.endSection();
+    return s.finish();
+}
+
+TEST(SlotTable, MatchesOrderedMapReference)
+{
+    constexpr Cycle window = 8192;  // SlotTable's ring size
+    for (const std::uint32_t units : {1u, 2u, 3u}) {
+        SCOPED_TRACE(units);
+        std::mt19937_64 rng(units * 7919);
+        pipeline::SlotTable table(units);
+        RefSlotTable ref{units, {}};
+        Cycle frontier = 0;
+        bool wrapped = false, spilled = false, behind = false;
+        for (int step = 0; step < 60000; ++step) {
+            const std::uint64_t roll = rng() % 1000;
+            if (roll < 8) {
+                // Advance the frontier: mostly a little, sometimes past
+                // the whole window (so the ring wraps and refills).
+                const Cycle jump = rng() % 4 == 0
+                    ? window + rng() % (2 * window) : rng() % 900;
+                frontier += jump;
+                if ((frontier / window) != ((frontier - jump) / window))
+                    wrapped = true;
+                table.pruneBelow(frontier);
+                ref.pruneBelow(frontier);
+            } else if (roll < 10) {
+                // Round-trip through a checkpoint image mid-sequence.
+                const std::vector<std::uint8_t> image = imageOf(table);
+                Deserializer d(image);
+                d.openSection("slots");
+                pipeline::SlotTable restored(units);
+                restored.restore(d);
+                d.closeSection();
+                table = restored;
+            } else {
+                Cycle earliest;
+                if (roll < 40) {
+                    // Far beyond the window: spills to the ordered map.
+                    earliest = frontier + window + rng() % (3 * window);
+                    spilled = true;
+                } else if (roll < 60 && frontier > 0) {
+                    // Behind the freshly pruned window.
+                    earliest = frontier - 1 - rng() % std::min<Cycle>(
+                        frontier, 2000);
+                    behind = true;
+                } else {
+                    earliest = frontier + rng() % 600;
+                }
+                ASSERT_EQ(table.reserve(earliest), ref.reserve(earliest))
+                    << "step " << step << " earliest " << earliest;
+            }
+            if (step % 997 == 0) {
+                ASSERT_EQ(imageOf(table), imageOf(ref)) << "step " << step;
+            }
+        }
+        EXPECT_EQ(imageOf(table), imageOf(ref));
+        EXPECT_TRUE(wrapped && spilled && behind);
+    }
 }
 
 TEST(Ooo, RejectsInOrderConfig)
