@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hh"
 #include "common/rng.hh"
 #include "core/informing.hh"
 #include "func/executor.hh"
 #include "isa/builder.hh"
+#include "workloads/suite.hh"
 
 namespace
 {
@@ -201,6 +203,114 @@ TEST_P(RandomProgram, InstrumentedTraceIsContinuous)
     while (e.next(r)) {
         ASSERT_EQ(r.pc, expect_pc);
         expect_pc = r.nextPc;
+    }
+}
+
+/** Records the outcomes fastForward() reports to its WarmSink. */
+class BranchLog final : public func::WarmSink
+{
+  public:
+    void
+    condBranch(InstAddr pc, bool taken) override
+    {
+        outcomes.emplace_back(pc, taken);
+    }
+
+    std::vector<std::pair<InstAddr, bool>> outcomes;
+};
+
+std::vector<std::uint8_t>
+image(const Executor &e)
+{
+    Serializer s;
+    s.beginSection("exec");
+    e.save(s);
+    s.endSection();
+    return s.finish();
+}
+
+/**
+ * fastForward() @p p in chunks of assorted sizes next to a twin that
+ * steps with next(): at every chunk boundary both must agree on the
+ * pc, the handler flag and the statistics (handler instructions
+ * included, which must also match the records flagged as handler
+ * code), at every @p image_every-th boundary and at the end on the
+ * checkpoint image, and the warm sink must have seen exactly the
+ * predicted branches' outcomes. @return the handler instructions.
+ */
+std::uint64_t
+expectFastForwardMatchesStepping(const Program &p, std::uint64_t seed,
+                                 const std::string &name,
+                                 std::uint64_t image_every = 1)
+{
+    Rng sizes(seed);
+    Executor stepped(p, smallConfig());
+    Executor chunked(p, smallConfig());
+    BranchLog log;
+    std::vector<std::pair<InstAddr, bool>> expect;
+    std::uint64_t handler_records = 0;
+    func::TraceRecord r;
+    for (std::uint64_t chunk = 0;; ++chunk) {
+        const std::uint64_t n = 1 + sizes.below(97);
+        std::uint64_t stepped_n = 0;
+        while (stepped_n < n && stepped.next(r)) {
+            ++stepped_n;
+            handler_records += r.handlerCode;
+            const Op op = r.inst.op;
+            if (op == Op::BEQ || op == Op::BNE || op == Op::BLT ||
+                op == Op::BGE)
+                expect.emplace_back(r.pc, r.taken);
+        }
+        EXPECT_EQ(chunked.fastForward(n, &log), stepped_n) << name;
+        EXPECT_EQ(chunked.state().pc, stepped.state().pc) << name;
+        EXPECT_EQ(chunked.inHandler(), stepped.inHandler()) << name;
+        const func::ExecStats &a = chunked.stats();
+        const func::ExecStats &b = stepped.stats();
+        EXPECT_EQ(a.instructions, b.instructions) << name;
+        EXPECT_EQ(a.handlerInstructions, b.handlerInstructions) << name;
+        EXPECT_EQ(b.handlerInstructions, handler_records) << name;
+        EXPECT_EQ(a.traps, b.traps) << name;
+        EXPECT_EQ(a.brmissTaken, b.brmissTaken) << name;
+        const bool last = stepped_n < n;
+        if (last || chunk % image_every == 0) {
+            EXPECT_EQ(image(chunked), image(stepped)) << name;
+        }
+        if (::testing::Test::HasFailure() || last)
+            break;
+    }
+    EXPECT_TRUE(chunked.state().halted) << name;
+    EXPECT_EQ(log.outcomes, expect) << name;
+    return chunked.stats().handlerInstructions;
+}
+
+TEST_P(RandomProgram, FastForwardMatchesStepping)
+{
+    const Program base = randomProgram(GetParam());
+    for (const auto mode : {core::InformingMode::None,
+                            core::InformingMode::TrapSingle,
+                            core::InformingMode::TrapUnique,
+                            core::InformingMode::CondCode}) {
+        const Program p = mode == core::InformingMode::None
+            ? base : core::instrument(base, mode, {.length = 4});
+        expectFastForwardMatchesStepping(p, GetParam() * 7 + 1,
+                                         core::informingModeName(mode));
+    }
+}
+
+TEST(FastForward, MatchesSteppingThroughMissHandlers)
+{
+    // A missing workload under both handler dispatch styles, so chunk
+    // boundaries fall inside handler spans, at their entries and at
+    // their RETMH.
+    workloads::WorkloadParams wp;
+    wp.scale = 0.02;
+    const Program base = workloads::build("compress", wp);
+    for (const auto mode : {core::InformingMode::TrapUnique,
+                            core::InformingMode::CondCode}) {
+        const Program p = core::instrument(base, mode, {.length = 3});
+        EXPECT_GT(expectFastForwardMatchesStepping(
+                      p, 5, core::informingModeName(mode), 64),
+                  1000u);
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hh"
+#include "common/error.hh"
 #include "func/executor.hh"
 #include "isa/builder.hh"
 
@@ -300,6 +302,119 @@ TEST(Exec, RunReturnsInstructionCount)
     // A halted executor produces nothing further.
     TraceRecord r;
     EXPECT_FALSE(e.next(r));
+}
+
+/** Run @p e forward and @return the BadProgram message it raises. */
+std::string
+badProgramMessage(Executor &e, bool stepwise)
+{
+    try {
+        TraceRecord r;
+        if (stepwise) {
+            while (e.next(r)) {
+            }
+        } else {
+            e.fastForward(1000);
+        }
+    } catch (const SimException &ex) {
+        EXPECT_EQ(ex.code(), ErrCode::BadProgram);
+        return ex.what();
+    }
+    ADD_FAILURE() << "no BadProgram error";
+    return "";
+}
+
+TEST(Exec, WildJumpReportsItsTargetOnBothPaths)
+{
+    // The JR retires; the step after it raises the error, naming the
+    // wild target, which stays the architectural pc. Asking again
+    // raises the same error.
+    ProgramBuilder b;
+    b.li(intReg(1), 99999);
+    b.jr(intReg(1));
+    b.halt();
+    const Program p = b.finish();
+    for (const bool stepwise : {true, false}) {
+        Executor e(p, smallConfig());
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            const std::string msg = badProgramMessage(e, stepwise);
+            EXPECT_NE(msg.find("pc 99999 out of range"), std::string::npos)
+                << msg;
+            EXPECT_EQ(e.state().pc, 99999u);
+            EXPECT_EQ(e.stats().instructions, 2u);
+        }
+    }
+}
+
+TEST(Exec, RunningOffTheEndIsBadProgram)
+{
+    // A program may place its HALT anywhere; one that jumps over it
+    // and runs past its last instruction fails at the pc one past it.
+    ProgramBuilder b;
+    Label body = b.newLabel();
+    b.j(body);
+    b.halt();
+    b.bind(body);
+    b.nop();
+    const Program p = b.finish();
+    for (const bool stepwise : {true, false}) {
+        Executor e(p, smallConfig());
+        const std::string msg = badProgramMessage(e, stepwise);
+        EXPECT_NE(msg.find("pc 3 out of range"), std::string::npos) << msg;
+        EXPECT_EQ(e.state().pc, 3u);
+        EXPECT_EQ(e.stats().instructions, 2u);
+    }
+}
+
+TEST(Exec, FastForwardStopsAtTheRunawayBound)
+{
+    ProgramBuilder b;
+    Label top = b.newLabel();
+    b.bind(top);
+    b.addi(intReg(1), intReg(1), 1);
+    b.j(top);
+    b.halt();
+    const Program p = b.finish();
+    Executor::Config cfg = smallConfig();
+    cfg.maxInstructions = 1000;
+    Executor e(p, cfg);
+    EXPECT_EQ(e.fastForward(600), 600u);
+    try {
+        e.fastForward(600);
+        ADD_FAILURE() << "no RunawayExecution error";
+    } catch (const SimException &ex) {
+        EXPECT_EQ(ex.code(), ErrCode::RunawayExecution);
+    }
+    EXPECT_EQ(e.stats().instructions, 1000u);
+    EXPECT_EQ(e.state().ireg[1], 500u);
+}
+
+TEST(Exec, CheckpointWithNonzeroR0IsRejected)
+{
+    // The executor reads r0 from its slot, so an image may not set it.
+    // Only a corrupt image can: write the section's leading fields by
+    // hand, the program fingerprint and then the integer registers.
+    ProgramBuilder b;
+    b.halt();
+    const Program p = b.finish();
+    Serializer s;
+    s.beginSection("exec");
+    s.u64(p.fingerprint());
+    s.u64(5);
+    for (unsigned r = 1; r < isa::numIntRegs; ++r)
+        s.u64(0);
+    s.endSection();
+    Deserializer d(s.finish());
+    d.openSection("exec");
+    Executor dst(p, smallConfig());
+    try {
+        dst.restore(d);
+        ADD_FAILURE() << "restore accepted r0 = 5";
+    } catch (const SimException &ex) {
+        EXPECT_EQ(ex.code(), ErrCode::BadCheckpoint);
+        EXPECT_NE(std::string(ex.what()).find("checkpointed r0"),
+                  std::string::npos) << ex.what();
+    }
 }
 
 } // namespace
