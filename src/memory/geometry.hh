@@ -167,6 +167,8 @@ struct CacheGeometry
         sim_throw_if(!wellFormed(&why), ErrCode::BadConfig,
                      "cache geometry: %s", why.c_str());
     }
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 } // namespace imo::memory

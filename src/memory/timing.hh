@@ -39,6 +39,8 @@ struct TimingMemoryParams
     Cycle fillCycles = 4;       //!< data cache fill time
     Cycle memBandwidth = 20;    //!< min cycles between memory accesses
     bool extendedMshrLifetime = false;
+
+    bool operator==(const TimingMemoryParams &) const = default;
 };
 
 /** Outcome of presenting one data reference to the memory system. */

@@ -71,6 +71,8 @@ struct LatencyTable
           default: return 1;
         }
     }
+
+    bool operator==(const LatencyTable &) const = default;
 };
 
 /** Functional-unit counts. memUnits == 0 routes memory operations
@@ -81,6 +83,8 @@ struct FuPool
     std::uint8_t fpUnits = 2;
     std::uint8_t branchUnits = 1;
     std::uint8_t memUnits = 1;
+
+    bool operator==(const FuPool &) const = default;
 };
 
 /** Complete parameterization of one processor model. */
@@ -159,6 +163,10 @@ struct MachineConfig
 
     /** Throw SimException(BadConfig) listing the problems, if any. */
     void validate() const;
+
+    /** Field by field, every field included: the shared pass keys its
+     *  window-replay sharing on this, so a new field joins the key. */
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /** @return the out-of-order (MIPS R10000-like) configuration. */

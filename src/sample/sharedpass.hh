@@ -12,7 +12,9 @@
  * buffered window records are replayed through a fresh timing model
  * per member — with each data reference's service level patched to
  * that member's classification — producing exactly the WindowSample a
- * dedicated interleaved pass would have measured.
+ * dedicated interleaved pass would have measured. Members with equal
+ * timing configs whose classifications agree over a window share one
+ * replay of it.
  *
  * Byte-identity argument, piece by piece:
  *  - the architectural stream (instructions, addresses, branch
@@ -28,7 +30,13 @@
  *    FunctionalHierarchy::access exactly (property-tested, and the
  *    IMO_PARANOID_XCHECK build replays every reference through a
  *    dedicated FunctionalHierarchy per config), so the patched records
- *    equal the records the member's own executor would have produced.
+ *    equal the records the member's own executor would have produced;
+ *  - timing models read no cache geometry (they see `mem`, never
+ *    `l1`/`l2`), and measureWindow() is a pure function of (config,
+ *    warm state, records, levels), so a member whose config equals an
+ *    earlier member's outside the geometries, and whose window level
+ *    log equals that member's, takes that member's sample unchanged.
+ *    Members with a fault injector or an observer always replay.
  *
  * Sampler::runFromSharedPass() then folds the per-member samples into
  * estimates indistinguishable from Sampler::run().
@@ -60,6 +68,7 @@ struct SharedPassResult
     std::uint64_t streamLength = 0; //!< demand references classified
     std::uint64_t prefetches = 0;   //!< prefetches observed
     std::uint64_t windows = 0;      //!< window boundaries served
+    std::uint64_t replays = 0;      //!< measureWindow() calls made
 };
 
 /**

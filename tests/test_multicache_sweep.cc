@@ -4,7 +4,9 @@
  * simulation: the multi-cache path must emit byte-identical reports to
  * the dedicated per-point path for any job count, group only points
  * that genuinely share a reference stream, fall back silently where it
- * cannot share, and record per-group provenance for manifests.
+ * cannot share, and record per-group provenance for manifests. The
+ * shared pass underneath replays a window once per distinct (timing
+ * config, level log), and only then.
  */
 
 #include <sstream>
@@ -14,6 +16,8 @@
 #include "gtest/gtest.h"
 
 #include "core/informing.hh"
+#include "obs/observer.hh"
+#include "sample/sharedpass.hh"
 #include "sweep/sweep.hh"
 
 using namespace imo;
@@ -158,4 +162,68 @@ TEST(MultiCacheSweep, RefusedGroupFallsBackToRunPoint)
                   report({sweep::runPoint(members[m])}))
             << "member " << m;
     EXPECT_FALSE(prov.shared);
+}
+
+TEST(MultiCacheSweep, LatencyAndMshrAxesByteIdentical)
+{
+    // Members differ in L2 latency and MSHR count as well as geometry,
+    // so the group holds several timing classes: a window replay may
+    // be shared only inside one, and a sharing key that missed a
+    // timing field would change this report.
+    sweep::SweepGrid grid;
+    grid.workloads = {"espresso"};
+    grid.scale = 0.5;
+    grid.l1SizesBytes = {4096, 8192, 32768};
+    grid.l2Latencies = {8, 24};
+    grid.mshrCounts = {1, 8};
+    grid.samples = {"2000:100:100"};
+    const std::vector<sweep::SweepPoint> points = sweep::expandGrid(grid);
+    ASSERT_EQ(points.size(), 12u);
+
+    sweep::MultiCache mc;
+    const std::vector<sweep::SweepOutcome> outs = sweep::runSweep(
+        points, 2, nullptr, nullptr, nullptr, nullptr, &mc);
+    EXPECT_EQ(report(outs), report(sweep::runSweep(points, 2)));
+    ASSERT_EQ(mc.groups.size(), 1u);
+    EXPECT_TRUE(mc.groups[0].shared);
+    EXPECT_EQ(mc.groups[0].configs, 3u); // one per L1 size
+}
+
+TEST(SharedPass, ReplaysEachDistinctWindowOnce)
+{
+    const std::vector<sweep::SweepPoint> points =
+        geometryPoints(core::InformingMode::None, "2000:100:100");
+    const isa::Program prog = points[0].buildProgram();
+    const sample::SampleParams params =
+        sample::SampleParams::parse(points[0].sample);
+    std::vector<pipeline::MachineConfig> cfgs;
+    for (const sweep::SweepPoint &p : points)
+        cfgs.push_back(p.resolveConfig());
+
+    // The geometries often agree on a window's levels: fewer replays
+    // than members x windows, but at least one per window.
+    const sample::SharedPassResult base =
+        sample::runSharedGeometryPass(prog, cfgs, params);
+    ASSERT_GT(base.windows, 0u);
+    EXPECT_GE(base.replays, base.windows);
+    EXPECT_LT(base.replays, cfgs.size() * base.windows);
+
+    // A ninth member equal to the first shares its replay every time.
+    cfgs.push_back(cfgs[0]);
+    const sample::SharedPassResult twin =
+        sample::runSharedGeometryPass(prog, cfgs, params);
+    EXPECT_EQ(twin.replays, base.replays);
+    EXPECT_EQ(twin.samples.back(), base.samples[0]);
+
+    // Observed, the same member is replayed in every window, with its
+    // side effects, and measures what it would have shared.
+    obs::Observer observer;
+    cfgs.back().obs = &observer;
+    const sample::SharedPassResult watched =
+        sample::runSharedGeometryPass(prog, cfgs, params);
+    EXPECT_EQ(watched.replays, base.replays + watched.windows);
+    EXPECT_FALSE(observer.profiler.table().empty());
+    for (std::size_t m = 0; m < points.size(); ++m)
+        EXPECT_EQ(watched.samples[m], base.samples[m]) << "member " << m;
+    EXPECT_EQ(watched.samples.back(), base.samples[0]);
 }
