@@ -1,6 +1,8 @@
 #include "sweep/gridcli.hh"
 
+#include <charconv>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -29,30 +31,56 @@ std::vector<std::uint64_t>
 parseU64List(const std::string &s, const char *what)
 {
     std::vector<std::uint64_t> out;
-    for (const std::string &item : splitCsv(s)) {
-        char *end = nullptr;
-        errno = 0;
-        const long long v = std::strtoll(item.c_str(), &end, 10);
-        sim_throw_if(end == item.c_str() || *end != '\0' || errno != 0 ||
-                         v < 0,
-                     ErrCode::BadConfig, "bad %s value '%s'", what,
-                     item.c_str());
-        out.push_back(static_cast<std::uint64_t>(v));
-    }
+    for (const std::string &item : splitCsv(s))
+        out.push_back(parseU64(item, what));
     return out;
 }
+
+namespace
+{
+
+/** The digits of @p s after one optional leading '+' (a '-' stays and
+ *  fails the parse). */
+const char *
+skipPlus(const std::string &s)
+{
+    return s.c_str() + (!s.empty() && s[0] == '+' ? 1 : 0);
+}
+
+} // anonymous namespace
 
 std::uint64_t
 parseU64(const std::string &s, const char *what)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    sim_throw_if(end == s.c_str() || *end != '\0' || errno != 0 ||
-                     v < 0,
-                 ErrCode::BadConfig, "bad %s value '%s'", what,
-                 s.c_str());
-    return static_cast<std::uint64_t>(v);
+    const char *first = skipPlus(s);
+    const char *last = s.c_str() + s.size();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    sim_throw_if(first == last || ec != std::errc() || end != last,
+                 ErrCode::BadConfig, "bad %s value '%s'", what, s.c_str());
+    return v;
+}
+
+double
+parseFiniteDouble(const std::string &s, const char *what)
+{
+    const char *first = skipPlus(s);
+    const char *last = s.c_str() + s.size();
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    sim_throw_if(first == last || ec != std::errc() || end != last ||
+                     !std::isfinite(v) || std::signbit(v),
+                 ErrCode::BadConfig, "bad %s value '%s'", what, s.c_str());
+    return v;
+}
+
+double
+parseScale(const std::string &s)
+{
+    const double v = parseFiniteDouble(s, "--scale");
+    sim_throw_if(v == 0.0, ErrCode::BadConfig,
+                 "--scale must be positive, got '%s'", s.c_str());
+    return v;
 }
 
 core::InformingMode
@@ -133,9 +161,9 @@ applyGridArg(SweepGrid *grid, const std::string &arg,
         for (const std::string &s : splitCsv(value()))
             grid->samples.push_back(s == "full" ? "" : s);
     } else if (arg == "--scale") {
-        grid->scale = std::atof(value().c_str());
+        grid->scale = parseScale(value());
     } else if (arg == "--seed") {
-        grid->seed = std::strtoull(value().c_str(), nullptr, 0);
+        grid->seed = parseU64(value(), "--seed");
     } else {
         return false;
     }

@@ -27,10 +27,19 @@ std::vector<std::string> splitCsv(const std::string &s);
 std::vector<std::uint64_t> parseU64List(const std::string &s,
                                         const char *what);
 
-/** Parse one non-negative integer (e.g. a millisecond or seed flag).
- *  Throws SimException(BadConfig) naming @p what on malformed input —
- *  a typo must never silently become 0. */
+/** Parse one decimal integer in [0, 2^64-1] (e.g. a millisecond or
+ *  seed flag). Throws SimException(BadConfig) naming @p what on
+ *  malformed input — trailing garbage, a '-', overflow, an octal or hex
+ *  prefix — so a typo never silently becomes another number. */
 std::uint64_t parseU64(const std::string &s, const char *what);
+
+/** Parse one finite, non-negative decimal number (e.g. a CI target).
+ *  Throws SimException(BadConfig) naming @p what on trailing garbage,
+ *  a '-', NaN, infinity, or a value out of double's range. */
+double parseFiniteDouble(const std::string &s, const char *what);
+
+/** Parse a workload scale factor: parseFiniteDouble() and > 0. */
+double parseScale(const std::string &s);
 
 /** Parse an informing-mode name (N, S, U, CC).
  *  Throws SimException(BadConfig) for anything else. */

@@ -18,23 +18,16 @@
  * is already in the store, and a re-run with --resume continues from
  * there. Exit code 5 marks the interrupted run.
  *
- * Exit codes:
- *   0  success
- *   2  usage error (bad flags)
- *   3  bad input (BadConfig / BadProgram)
- *   4  farm failure (LeaseExpired / ResultMismatch / ...)
- *   5  interrupted (finished points preserved in the store)
+ * Exit codes: the one table in README.md ("Command-line exit codes").
  */
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "common/error.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
@@ -50,20 +43,7 @@ namespace
 
 using namespace imo;
 
-constexpr int kExitUsage = 2;
-constexpr int kExitBadInput = 3;
-constexpr int kExitFarmError = 4;
-constexpr int kExitInterrupted = 5;
-
-volatile std::sig_atomic_t g_stop = 0;
-
-extern "C" void
-onStopSignal(int)
-{
-    g_stop = 1;
-}
-
-int
+void
 usage()
 {
     std::fprintf(stderr,
@@ -150,7 +130,6 @@ usage()
         "  --list                  print the expanded grid and exit\n"
         "  --quiet                 suppress warn/info diagnostics\n",
         sweep::gridAxesHelp());
-    return kExitUsage;
 }
 
 /** Parse "[HOST:]PORT" into the listen options. */
@@ -175,24 +154,19 @@ parseListenSpec(const std::string &spec, farm::FarmOptions &opt)
     opt.listenPort = static_cast<std::uint16_t>(port);
 }
 
-int
-exitCodeFor(ErrCode code)
+/** A --min-workers / --max-attempts count: in [1, 1000000]. */
+std::uint64_t
+boundedCount(cli::Args &args)
 {
-    switch (code) {
-      case ErrCode::BadConfig:
-      case ErrCode::BadProgram:
-        return kExitBadInput;
-      case ErrCode::Interrupted:
-        return kExitInterrupted;
-      default:
-        return kExitFarmError;
-    }
+    const std::uint64_t v = args.u64();
+    sim_throw_if(v == 0 || v > 1'000'000, ErrCode::BadConfig,
+                 "%s must be in [1, 1000000], got %llu",
+                 args.flag().c_str(), static_cast<unsigned long long>(v));
+    return v;
 }
 
-} // anonymous namespace
-
 int
-main(int argc, char **argv)
+runTool(cli::Args &args)
 {
     sweep::SweepGrid grid;
     farm::FarmOptions opt;
@@ -207,315 +181,232 @@ main(int argc, char **argv)
     std::string stats_json_path;
     std::string fault_spec_joined; //!< verbatim specs, for the manifest
 
-    const std::vector<std::string> cli_args(argv + 1, argv + argc);
-
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    throwSimError(ErrCode::BadConfig,
-                                  "imo-farm: %s needs a value",
-                                  arg.c_str());
-                }
-                return argv[++i];
-            };
-            if (sweep::applyGridArg(&grid, arg, value)) {
-                // handled
-            } else if (arg == "--workers") {
-                workers_text = value();
-            } else if (arg == "--listen") {
-                parseListenSpec(value(), opt);
-            } else if (arg == "--port-file") {
-                port_file = value();
-            } else if (arg == "--token") {
-                opt.token = value();
-            } else if (arg == "--min-workers") {
-                const std::uint64_t v =
-                    sweep::parseU64(value(), "--min-workers");
-                sim_throw_if(v == 0 || v > 1'000'000,
-                             ErrCode::BadConfig,
-                             "--min-workers must be in [1, 1000000], "
-                             "got %llu",
-                             static_cast<unsigned long long>(v));
-                opt.minWorkers = static_cast<unsigned>(v);
-            } else if (arg == "--heartbeat-ms") {
-                opt.heartbeatMs =
-                    sweep::parseU64(value(), "--heartbeat-ms");
-            } else if (arg == "--store") {
-                opt.storeDir = value();
-            } else if (arg == "--resume") {
-                opt.resume = true;
-            } else if (arg == "--lease-ms") {
-                opt.leaseMs = sweep::parseU64(value(), "--lease-ms");
-            } else if (arg == "--max-attempts") {
-                const std::uint64_t v =
-                    sweep::parseU64(value(), "--max-attempts");
-                sim_throw_if(v == 0 || v > 1'000'000,
-                             ErrCode::BadConfig,
-                             "--max-attempts must be in [1, 1000000], "
-                             "got %llu",
-                             static_cast<unsigned long long>(v));
-                opt.maxAttempts = static_cast<unsigned>(v);
-            } else if (arg == "--straggler-ms") {
-                opt.stragglerMs =
-                    sweep::parseU64(value(), "--straggler-ms");
-            } else if (arg == "--fault") {
-                const std::string spec = value();
-                if (!parseFaultSpec(spec, opt.faults)) {
-                    std::fprintf(stderr,
-                                 "imo-farm: bad --fault spec '%s' "
-                                 "(want name=prob)\n",
-                                 spec.c_str());
-                    return usage();
-                }
-                if (!fault_spec_joined.empty())
-                    fault_spec_joined += ',';
-                fault_spec_joined += spec;
-            } else if (arg == "--fault-seed") {
-                opt.faults.seed =
-                    sweep::parseU64(value(), "--fault-seed");
-            } else if (arg == "--out") {
-                out_path = value();
-            } else if (arg == "--trace-out") {
-                trace_path = value();
-            } else if (arg == "--trace-format") {
-                trace_format = value();
-                if (trace_format != "chrome" && trace_format != "jsonl")
-                    return usage();
-            } else if (arg == "--progress") {
-                opt.progress = true;
-            } else if (arg == "--no-progress") {
-                opt.progress = false;
-            } else if (arg == "--progress-json") {
-                opt.progressJsonPath = value();
-            } else if (arg == "--progress-interval-ms") {
-                opt.progressIntervalMs = sweep::parseU64(
-                    value(), "--progress-interval-ms");
-            } else if (arg == "--manifest") {
-                manifest_path = value();
-            } else if (arg == "--stats") {
-                want_stats = true;
-            } else if (arg == "--stats-json") {
-                stats_json_path = value();
-            } else if (arg == "--multi-cache") {
-                opt.multiCache = true;
-            } else if (arg == "--run-id") {
-                opt.runId = value();
-            } else if (arg == "--list") {
-                list_only = true;
-            } else if (arg == "--quiet") {
-                setLogLevel(LogLevel::Quiet);
-            } else {
-                std::fprintf(stderr, "imo-farm: unknown option '%s'\n",
-                             arg.c_str());
-                return usage();
-            }
-        }
-
-        // --workers is parsed late because its 0 means "one process
-        // per hardware thread" for a local farm but "remote workers
-        // only" when listening.
-        if (!workers_text.empty()) {
-            if (opt.listen) {
-                const std::uint64_t v =
-                    sweep::parseU64(workers_text, "--workers");
-                sim_throw_if(v > 4096, ErrCode::BadConfig,
-                             "--workers must be in [0, 4096], got %llu",
-                             static_cast<unsigned long long>(v));
-                opt.workers = static_cast<unsigned>(v);
-            } else {
-                opt.workers = sweep::parseParallelism(workers_text,
-                                                      "--workers");
-            }
-        }
-        if (!port_file.empty()) {
-            sim_throw_if(!opt.listen, ErrCode::BadConfig,
-                         "--port-file needs --listen");
-            opt.onListen = [port_file](std::uint16_t port) {
-                std::ofstream f(port_file, std::ios::trunc);
-                sim_throw_if(!f, ErrCode::BadConfig,
-                             "imo-farm: cannot write --port-file '%s'",
-                             port_file.c_str());
-                f << port << '\n';
-            };
-        }
-
-        const std::vector<sweep::SweepPoint> points =
-            sweep::expandGrid(grid);
-        if (list_only) {
-            for (const sweep::SweepPoint &p : points)
-                std::printf("%s\n", sweep::describePoint(p).c_str());
-            std::printf("%zu points\n", points.size());
-            return 0;
-        }
-
-        // Fail fast on typos before any worker is spawned.
-        sweep::validatePoints(points);
-
-        {
-            struct sigaction sa{};
-            sa.sa_handler = onStopSignal;
-            sa.sa_flags = SA_RESETHAND;
-            ::sigaction(SIGINT, &sa, nullptr);
-            ::sigaction(SIGTERM, &sa, nullptr);
-        }
-
-        // The lease-timeline sink lives in the coordinator process
-        // only; forked workers never touch it.
-        obs::TraceSink trace;
-        if (!trace_path.empty()) {
-            trace.enable(static_cast<std::uint32_t>(obs::Cat::Sweep) |
-                         static_cast<std::uint32_t>(obs::Cat::Farm) |
-                         static_cast<std::uint32_t>(obs::Cat::Store) |
-                         static_cast<std::uint32_t>(obs::Cat::Net));
-            opt.trace = &trace;
-        }
-
-        const farm::FarmResult res = farm::runFarm(points, opt, &g_stop);
-
-        // Telemetry artifacts are written on success and failure alike:
-        // a post-mortem needs them most when the run went wrong.
-        if (!trace_path.empty()) {
-            std::ofstream out(trace_path);
-            sim_throw_if(!out, ErrCode::BadConfig,
-                         "imo-farm: cannot write '%s'",
-                         trace_path.c_str());
-            if (trace_format == "chrome")
-                trace.writeChromeTrace(out);
-            else
-                trace.writeJsonl(out);
-            if (trace.dropped())
-                warn("trace capacity reached: %llu events dropped",
-                     static_cast<unsigned long long>(trace.dropped()));
-        }
-        if (!manifest_path.empty()) {
-            manifest::Manifest m;
-            m.tool = "imo-farm";
-            m.runId = res.runId;
-            m.args = cli_args;
-            m.reportSchemaVersion = sweep::reportSchemaVersion;
-            m.protocolVersion = farm::protocolVersion;
-            m.faultSpec = fault_spec_joined;
-            m.faultSeed = opt.faults.seed;
-            m.status = res.ok ? "ok"
-                              : (res.error.code == ErrCode::Interrupted
-                                     ? "interrupted"
-                                     : "failed");
-            if (!res.ok) {
-                m.errorCode = errCodeName(res.error.code);
-                m.errorMessage = res.error.message;
-            }
-            m.elapsedMs = res.elapsedMs;
-            m.pointsTotal = res.slotRecords.size();
-            for (const farm::SlotRecord &r : res.slotRecords) {
-                manifest::PointEntry e;
-                e.key = r.keyHex;
-                e.desc = r.desc;
-                if (r.groupMembers > 0) {
-                    e.multiCacheGroup = static_cast<std::int32_t>(
-                        m.multiCacheGroups.size());
-                    manifest::MultiCacheGroupEntry g;
-                    g.members = r.groupMembers;
-                    g.configs = r.groupConfigs;
-                    g.shared = true;
-                    m.multiCacheGroups.push_back(g);
-                }
-                e.status = r.done ? "ok" : "failed";
-                e.storeHit = r.storeHit;
-                e.attempts = r.attempts;
-                e.queueWaitMs = r.queueWaitMs;
-                e.simulateMs = r.simulateMs;
-                e.serializeMs = r.serializeMs;
-                e.storePutMs = r.storePutMs;
-                e.startMs = r.startMs;
-                e.endMs = r.endMs;
-                if (r.done)
-                    ++m.pointsDone;
-                else if (!res.ok)
-                    e.error = res.error.message;
-                m.points.push_back(std::move(e));
-            }
-            m.statsJson = res.statsJson;
-            std::string err;
-            if (!manifest::writeManifestFile(manifest_path, m, err))
-                warn("imo-farm: %s", err.c_str());
-        }
-        if (want_stats)
-            std::fputs(res.statsText.c_str(), stderr);
-        if (!stats_json_path.empty()) {
-            if (stats_json_path == "-") {
-                std::fputs(res.statsJson.c_str(), stdout);
-            } else {
-                std::ofstream out(stats_json_path);
-                sim_throw_if(!out, ErrCode::BadConfig,
-                             "imo-farm: cannot write '%s'",
-                             stats_json_path.c_str());
-                out << res.statsJson;
-            }
-        }
-
-        if (!res.ok) {
-            std::fprintf(stderr, "imo-farm: error [%s] %s\n",
-                         errCodeName(res.error.code),
-                         res.error.message.c_str());
-            for (const std::string &note : res.error.context)
-                std::fprintf(stderr, "    %s\n", note.c_str());
-            if (res.error.code == ErrCode::Interrupted &&
-                !opt.storeDir.empty()) {
-                std::fprintf(stderr,
-                             "imo-farm: %llu finished points are in "
-                             "'%s'; resume with --resume\n",
-                             static_cast<unsigned long long>(
-                                 res.stats.storeHits +
-                                 res.stats.simulated),
-                             opt.storeDir.c_str());
-            }
-            return exitCodeFor(res.error.code);
-        }
-
-        if (out_path == "-") {
-            farm::writeFarmReportJson(std::cout, res);
+    while (args.next()) {
+        if (sweep::applyGridArg(&grid, args.flag(),
+                                [&] { return args.value(); })) {
+            // handled
+        } else if (args.is("--workers")) {
+            workers_text = args.value();
+        } else if (args.is("--listen")) {
+            parseListenSpec(args.value(), opt);
+        } else if (args.is("--port-file")) {
+            port_file = args.value();
+        } else if (args.is("--token")) {
+            opt.token = args.value();
+        } else if (args.is("--min-workers")) {
+            opt.minWorkers = static_cast<unsigned>(boundedCount(args));
+        } else if (args.is("--heartbeat-ms")) {
+            opt.heartbeatMs = args.u64();
+        } else if (args.is("--store")) {
+            opt.storeDir = args.value();
+        } else if (args.is("--resume")) {
+            opt.resume = true;
+        } else if (args.is("--lease-ms")) {
+            opt.leaseMs = args.u64();
+        } else if (args.is("--max-attempts")) {
+            opt.maxAttempts = static_cast<unsigned>(boundedCount(args));
+        } else if (args.is("--straggler-ms")) {
+            opt.stragglerMs = args.u64();
+        } else if (args.is("--fault")) {
+            const std::string spec = args.value();
+            if (!parseFaultSpec(spec, opt.faults))
+                throw cli::UsageError("bad --fault spec '" + spec +
+                                      "' (want name=prob)");
+            fault_spec_joined += (fault_spec_joined.empty() ? "" : ",") +
+                                 spec;
+        } else if (args.is("--fault-seed")) {
+            opt.faults.seed = args.u64();
+        } else if (args.is("--out")) {
+            out_path = args.value();
+        } else if (args.is("--trace-out")) {
+            trace_path = args.value();
+        } else if (args.is("--trace-format")) {
+            trace_format = args.oneOf({"chrome", "jsonl"});
+        } else if (args.is("--progress")) {
+            opt.progress = true;
+        } else if (args.is("--no-progress")) {
+            opt.progress = false;
+        } else if (args.is("--progress-json")) {
+            opt.progressJsonPath = args.value();
+        } else if (args.is("--progress-interval-ms")) {
+            opt.progressIntervalMs = args.u64();
+        } else if (args.is("--manifest")) {
+            manifest_path = args.value();
+        } else if (args.is("--stats")) {
+            want_stats = true;
+        } else if (args.is("--stats-json")) {
+            stats_json_path = args.value();
+        } else if (args.is("--multi-cache")) {
+            opt.multiCache = true;
+        } else if (args.is("--run-id")) {
+            opt.runId = args.value();
+        } else if (args.is("--list")) {
+            list_only = true;
+        } else if (args.is("--quiet")) {
+            setLogLevel(LogLevel::Quiet);
         } else {
-            std::ofstream f(out_path, std::ios::binary);
-            sim_throw_if(!f, ErrCode::BadConfig,
-                         "imo-farm: cannot open '%s' for writing",
-                         out_path.c_str());
-            farm::writeFarmReportJson(f, res);
+            args.unknown();
         }
-
-        const farm::FarmStats &st = res.stats;
-        std::fprintf(stderr,
-                     "imo-farm: %llu points (%llu unique), served "
-                     "%llu/%llu from store, %llu simulated\n",
-                     static_cast<unsigned long long>(st.points),
-                     static_cast<unsigned long long>(st.uniqueSlots),
-                     static_cast<unsigned long long>(st.storeHits),
-                     static_cast<unsigned long long>(st.uniqueSlots),
-                     static_cast<unsigned long long>(st.simulated));
-        if (st.retries || st.workersLost || st.redispatches ||
-            st.storeCorrupt) {
-            std::fprintf(
-                stderr,
-                "imo-farm: %llu retries, %llu workers lost, %llu "
-                "leases expired, %llu re-dispatches, %llu corrupt "
-                "store records repaired\n",
-                static_cast<unsigned long long>(st.retries),
-                static_cast<unsigned long long>(st.workersLost),
-                static_cast<unsigned long long>(st.leasesExpired),
-                static_cast<unsigned long long>(st.redispatches),
-                static_cast<unsigned long long>(st.storeCorrupt));
-        }
-        if (out_path != "-")
-            std::fprintf(stderr, "imo-farm: report written to %s\n",
-                         out_path.c_str());
-        return 0;
-    } catch (const SimException &e) {
-        const SimError &err = e.error();
-        std::fprintf(stderr, "imo-farm: error [%s] %s\n",
-                     errCodeName(err.code), err.message.c_str());
-        for (const std::string &note : err.context)
-            std::fprintf(stderr, "    %s\n", note.c_str());
-        return exitCodeFor(err.code);
     }
+
+    // --workers is parsed late because its 0 means "one process per
+    // hardware thread" for a local farm but "remote workers only" when
+    // listening.
+    if (!workers_text.empty()) {
+        if (opt.listen) {
+            const std::uint64_t v = sweep::parseU64(workers_text,
+                                                    "--workers");
+            sim_throw_if(v > 4096, ErrCode::BadConfig,
+                         "--workers must be in [0, 4096], got %llu",
+                         static_cast<unsigned long long>(v));
+            opt.workers = static_cast<unsigned>(v);
+        } else {
+            opt.workers = sweep::parseParallelism(workers_text,
+                                                  "--workers");
+        }
+    }
+    if (!port_file.empty()) {
+        sim_throw_if(!opt.listen, ErrCode::BadConfig,
+                     "--port-file needs --listen");
+        opt.onListen = [port_file](std::uint16_t port) {
+            std::ofstream f(port_file, std::ios::trunc);
+            sim_throw_if(!f, ErrCode::BadConfig,
+                         "cannot write --port-file '%s'",
+                         port_file.c_str());
+            f << port << '\n';
+        };
+    }
+
+    const std::vector<sweep::SweepPoint> points = sweep::expandGrid(grid);
+    if (list_only) {
+        for (const sweep::SweepPoint &p : points)
+            std::printf("%s\n", sweep::describePoint(p).c_str());
+        std::printf("%zu points\n", points.size());
+        return 0;
+    }
+
+    // Fail fast on typos before any worker is spawned.
+    sweep::validatePoints(points);
+
+    const volatile std::sig_atomic_t *stop = cli::installStopHandlers();
+
+    // The lease-timeline sink lives in the coordinator process only;
+    // forked workers never touch it.
+    obs::TraceSink trace;
+    if (!trace_path.empty()) {
+        trace.enable(static_cast<std::uint32_t>(obs::Cat::Sweep) |
+                     static_cast<std::uint32_t>(obs::Cat::Farm) |
+                     static_cast<std::uint32_t>(obs::Cat::Store) |
+                     static_cast<std::uint32_t>(obs::Cat::Net));
+        opt.trace = &trace;
+    }
+
+    const farm::FarmResult res = farm::runFarm(points, opt, stop);
+
+    // Telemetry artifacts are written on success and failure alike: a
+    // post-mortem needs them most when the run went wrong.
+    cli::writeTrace(trace, trace_path, trace_format);
+    if (!manifest_path.empty()) {
+        manifest::Manifest m = cli::manifestHeader(
+            "imo-farm", args, res.ok ? SimError{} : res.error,
+            res.elapsedMs);
+        m.runId = res.runId;
+        m.reportSchemaVersion = sweep::reportSchemaVersion;
+        m.protocolVersion = farm::protocolVersion;
+        m.faultSpec = fault_spec_joined;
+        m.faultSeed = opt.faults.seed;
+        m.pointsTotal = res.slotRecords.size();
+        for (const farm::SlotRecord &r : res.slotRecords) {
+            manifest::PointEntry e;
+            e.key = r.keyHex;
+            e.desc = r.desc;
+            if (r.groupMembers > 0) {
+                e.multiCacheGroup =
+                    static_cast<std::int32_t>(m.multiCacheGroups.size());
+                manifest::MultiCacheGroupEntry g;
+                g.members = r.groupMembers;
+                g.configs = r.groupConfigs;
+                g.shared = true;
+                m.multiCacheGroups.push_back(g);
+            }
+            e.status = r.done ? "ok" : "failed";
+            e.storeHit = r.storeHit;
+            e.attempts = r.attempts;
+            e.queueWaitMs = r.queueWaitMs;
+            e.simulateMs = r.simulateMs;
+            e.serializeMs = r.serializeMs;
+            e.storePutMs = r.storePutMs;
+            e.startMs = r.startMs;
+            e.endMs = r.endMs;
+            if (r.done)
+                ++m.pointsDone;
+            else if (!res.ok)
+                e.error = res.error.message;
+            m.points.push_back(std::move(e));
+        }
+        m.statsJson = res.statsJson;
+        cli::writeManifest(manifest_path, m);
+    }
+    if (want_stats)
+        std::fputs(res.statsText.c_str(), stderr);
+    cli::writeStatsJson(stats_json_path, res.statsJson);
+
+    if (!res.ok) {
+        cli::printError("imo-farm", res.error);
+        if (res.error.code == ErrCode::Interrupted &&
+            !opt.storeDir.empty()) {
+            std::fprintf(stderr,
+                         "imo-farm: %llu finished points are in '%s'; "
+                         "resume with --resume\n",
+                         static_cast<unsigned long long>(
+                             res.stats.storeHits + res.stats.simulated),
+                         opt.storeDir.c_str());
+        }
+        return cli::exitCodeFor(res.error.code);
+    }
+
+    if (out_path == "-") {
+        farm::writeFarmReportJson(std::cout, res);
+    } else {
+        std::ofstream f(out_path, std::ios::binary);
+        sim_throw_if(!f, ErrCode::BadConfig,
+                     "cannot open '%s' for writing", out_path.c_str());
+        farm::writeFarmReportJson(f, res);
+    }
+
+    const farm::FarmStats &st = res.stats;
+    std::fprintf(stderr,
+                 "imo-farm: %llu points (%llu unique), served "
+                 "%llu/%llu from store, %llu simulated\n",
+                 static_cast<unsigned long long>(st.points),
+                 static_cast<unsigned long long>(st.uniqueSlots),
+                 static_cast<unsigned long long>(st.storeHits),
+                 static_cast<unsigned long long>(st.uniqueSlots),
+                 static_cast<unsigned long long>(st.simulated));
+    if (st.retries || st.workersLost || st.redispatches ||
+        st.storeCorrupt) {
+        std::fprintf(
+            stderr,
+            "imo-farm: %llu retries, %llu workers lost, %llu "
+            "leases expired, %llu re-dispatches, %llu corrupt "
+            "store records repaired\n",
+            static_cast<unsigned long long>(st.retries),
+            static_cast<unsigned long long>(st.workersLost),
+            static_cast<unsigned long long>(st.leasesExpired),
+            static_cast<unsigned long long>(st.redispatches),
+            static_cast<unsigned long long>(st.storeCorrupt));
+    }
+    if (out_path != "-")
+        std::fprintf(stderr, "imo-farm: report written to %s\n",
+                     out_path.c_str());
+    return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    cli::Args args(argc, argv);
+    return cli::run("imo-farm", usage, [&] { return runTool(args); });
 }

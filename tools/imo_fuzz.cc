@@ -24,15 +24,17 @@
  * replaced by NOPs (ddmin-style, static-ref ids renumbered), validating
  * and re-running each candidate. Exit 0 iff a failure was found,
  * bisected, and shrunk.
+ *
+ * A bad command line exits as the table in README.md ("Command-line
+ * exit codes") says.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/faultinject.hh"
@@ -558,6 +560,13 @@ shrinkDemo(std::uint64_t seed, bool verbose)
     return 0;
 }
 
+void
+usage()
+{
+    std::fprintf(stderr, "usage: imo-fuzz [--iterations N] [--seed S] "
+                         "[--verbose] [--quiet] [--shrink-demo]\n");
+}
+
 } // namespace
 
 int
@@ -570,26 +579,28 @@ main(int argc, char **argv)
 
     imo::initLogLevelFromEnv();
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--iterations" && i + 1 < argc) {
-            iterations = static_cast<std::uint64_t>(atoll(argv[++i]));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(atoll(argv[++i]));
-        } else if (arg == "--verbose") {
-            verbose = true;
-            imo::setLogLevel(imo::LogLevel::Info);
-        } else if (arg == "--quiet") {
-            imo::setLogLevel(imo::LogLevel::Quiet);
-        } else if (arg == "--shrink-demo") {
-            shrink_demo = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: imo-fuzz [--iterations N] [--seed S] "
-                         "[--verbose] [--quiet] [--shrink-demo]\n");
-            return 2;
+    cli::Args args(argc, argv);
+    const int rc = cli::run("imo-fuzz", usage, [&] {
+        while (args.next()) {
+            if (args.is("--iterations")) {
+                iterations = args.u64();
+            } else if (args.is("--seed")) {
+                seed = args.u64();
+            } else if (args.is("--verbose")) {
+                verbose = true;
+                imo::setLogLevel(imo::LogLevel::Info);
+            } else if (args.is("--quiet")) {
+                imo::setLogLevel(imo::LogLevel::Quiet);
+            } else if (args.is("--shrink-demo")) {
+                shrink_demo = true;
+            } else {
+                args.unknown();
+            }
         }
-    }
+        return 0;
+    });
+    if (rc != 0)
+        return rc;
 
     if (shrink_demo)
         return shrinkDemo(seed, verbose);

@@ -14,20 +14,19 @@
  * artifact archaeology, so a failed overnight sweep can be diagnosed
  * from its droppings alone.
  *
- * Exit codes:
- *   0  success (even when the summarized run failed)
- *   2  usage error (bad flags)
- *   3  unreadable / malformed artifact
+ * Exit codes: the one table in README.md ("Command-line exit codes");
+ * 0 even when the summarized run failed, 3 for an unreadable or
+ * malformed artifact.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <sys/stat.h>
 
+#include "cli.hh"
 #include "common/json.hh"
 
 namespace
@@ -35,10 +34,7 @@ namespace
 
 using namespace imo;
 
-constexpr int kExitUsage = 2;
-constexpr int kExitBadInput = 3;
-
-int
+void
 usage()
 {
     std::fprintf(stderr,
@@ -51,7 +47,6 @@ usage()
         "  --trace PATH      chrome-format trace written by "
         "--trace-out\n"
         "  --top N           slowest points to list (default 5)\n");
-    return kExitUsage;
 }
 
 std::uint64_t
@@ -82,64 +77,47 @@ struct PointRow
     std::string error;
 };
 
-} // anonymous namespace
+/** Parse the JSON artifact at @p path; BadConfig if it cannot be. */
+json::Value
+parseArtifact(const std::string &path)
+{
+    json::Value v;
+    std::string err;
+    sim_throw_if(!json::parseFile(path, v, err), ErrCode::BadConfig,
+                 "%s: %s", path.c_str(), err.c_str());
+    return v;
+}
 
 int
-main(int argc, char **argv)
+runTool(cli::Args &args)
 {
     std::string manifest_path;
     std::string store_dir;
     std::string trace_path;
     std::size_t top = 5;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "imo-report: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const char *val = nullptr;
-        if (arg == "--manifest") {
-            if (!(val = value())) return usage();
-            manifest_path = val;
-        } else if (arg == "--store") {
-            if (!(val = value())) return usage();
-            store_dir = val;
-        } else if (arg == "--trace") {
-            if (!(val = value())) return usage();
-            trace_path = val;
-        } else if (arg == "--top") {
-            if (!(val = value())) return usage();
-            top = static_cast<std::size_t>(std::atoll(val));
-        } else {
-            std::fprintf(stderr, "imo-report: unknown option '%s'\n",
-                         arg.c_str());
-            return usage();
-        }
+    while (args.next()) {
+        if (args.is("--manifest"))
+            manifest_path = args.value();
+        else if (args.is("--store"))
+            store_dir = args.value();
+        else if (args.is("--trace"))
+            trace_path = args.value();
+        else if (args.is("--top"))
+            top = args.u64();
+        else
+            args.unknown();
     }
     if (manifest_path.empty())
-        return usage();
+        throw cli::UsageError("");
 
-    json::Value manifest;
-    std::string err;
-    if (!json::parseFile(manifest_path, manifest, err)) {
-        std::fprintf(stderr, "imo-report: %s: %s\n",
-                     manifest_path.c_str(), err.c_str());
-        return kExitBadInput;
-    }
-    if (!manifest.isObject() ||
-        manifest.find("manifest_schema_version") == nullptr) {
-        std::fprintf(stderr,
-                     "imo-report: %s is not a run manifest (missing "
-                     "manifest_schema_version)\n",
-                     manifest_path.c_str());
-        return kExitBadInput;
-    }
+    const json::Value manifest = parseArtifact(manifest_path);
+    sim_throw_if(!manifest.isObject() ||
+                     manifest.find("manifest_schema_version") == nullptr,
+                 ErrCode::BadConfig,
+                 "%s is not a run manifest (missing "
+                 "manifest_schema_version)",
+                 manifest_path.c_str());
 
     // --- Header -----------------------------------------------------
     const std::string run_id = stringField(manifest, "run_id");
@@ -269,19 +247,10 @@ main(int argc, char **argv)
 
     // --- Trace join -------------------------------------------------
     if (!trace_path.empty()) {
-        json::Value trace;
-        if (!json::parseFile(trace_path, trace, err)) {
-            std::fprintf(stderr, "imo-report: %s: %s\n",
-                         trace_path.c_str(), err.c_str());
-            return kExitBadInput;
-        }
+        const json::Value trace = parseArtifact(trace_path);
         const json::Value *events = trace.find("traceEvents");
-        if (!events || !events->isArray()) {
-            std::fprintf(stderr,
-                         "imo-report: %s has no traceEvents array\n",
-                         trace_path.c_str());
-            return kExitBadInput;
-        }
+        sim_throw_if(!events || !events->isArray(), ErrCode::BadConfig,
+                     "%s has no traceEvents array", trace_path.c_str());
         std::uint64_t total = 0, leases = 0, retries = 0;
         std::uint64_t stragglers = 0, heartbeats = 0;
         for (const json::Value &e : events->array()) {
@@ -322,4 +291,13 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    cli::Args args(argc, argv);
+    return cli::run("imo-report", usage, [&] { return runTool(args); });
 }

@@ -13,23 +13,18 @@
  * final and exits immediately, since reconnecting cannot fix a version
  * or token mismatch.
  *
- * Exit codes:
- *   0  clean shutdown (the farm finished)
- *   2  usage error (bad flags)
- *   3  bad configuration
- *   4  failure (AuthFailed, reconnect budget exhausted, ...)
- *   5  interrupted (SIGINT/SIGTERM)
+ * Exit codes: the one table in README.md ("Command-line exit codes");
+ * 0 is a clean shutdown (the farm finished).
  */
 
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include <unistd.h>
 
+#include "cli.hh"
 #include "common/error.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
@@ -42,20 +37,7 @@ namespace
 
 using namespace imo;
 
-constexpr int kExitUsage = 2;
-constexpr int kExitBadInput = 3;
-constexpr int kExitFailure = 4;
-constexpr int kExitInterrupted = 5;
-
-volatile std::sig_atomic_t g_stop = 0;
-
-extern "C" void
-onStopSignal(int)
-{
-    g_stop = 1;
-}
-
-int
+void
 usage()
 {
     std::fprintf(stderr,
@@ -95,7 +77,6 @@ usage()
         "lines\n"
         "                           (default worker-<pid>)\n"
         "  --quiet                  suppress warn/info diagnostics\n");
-    return kExitUsage;
 }
 
 /** Parse "HOST:PORT" into the worker options. */
@@ -117,91 +98,49 @@ parseCoordinatorSpec(const std::string &spec, farm::WorkerOptions &opt)
     opt.port = static_cast<std::uint16_t>(port);
 }
 
-} // anonymous namespace
-
 int
-main(int argc, char **argv)
+runTool(cli::Args &args)
 {
     farm::WorkerOptions opt;
     std::string log_json_path;
     std::string worker_id;
 
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    throwSimError(ErrCode::BadConfig,
-                                  "imo-worker: %s needs a value",
-                                  arg.c_str());
-                }
-                return argv[++i];
-            };
-            if (arg == "--coordinator") {
-                parseCoordinatorSpec(value(), opt);
-            } else if (arg == "--token") {
-                opt.token = value();
-            } else if (arg == "--heartbeat-ms") {
-                opt.heartbeatMs =
-                    sweep::parseU64(value(), "--heartbeat-ms");
-            } else if (arg == "--retries") {
-                const std::uint64_t v =
-                    sweep::parseU64(value(), "--retries");
-                sim_throw_if(v > 1'000'000, ErrCode::BadConfig,
-                             "--retries must be in [0, 1000000], got "
-                             "%llu",
-                             static_cast<unsigned long long>(v));
-                opt.maxRetries = static_cast<unsigned>(v);
-            } else if (arg == "--backoff-base-ms") {
-                opt.backoffBaseMs =
-                    sweep::parseU64(value(), "--backoff-base-ms");
-            } else if (arg == "--backoff-cap-ms") {
-                opt.backoffCapMs =
-                    sweep::parseU64(value(), "--backoff-cap-ms");
-            } else if (arg == "--connect-timeout-ms") {
-                opt.connectTimeoutMs =
-                    sweep::parseU64(value(), "--connect-timeout-ms");
-            } else if (arg == "--fault") {
-                const std::string spec = value();
-                if (!parseFaultSpec(spec, opt.faults)) {
-                    std::fprintf(stderr,
-                                 "imo-worker: bad --fault spec '%s' "
-                                 "(want name=prob)\n",
-                                 spec.c_str());
-                    return usage();
-                }
-            } else if (arg == "--fault-seed") {
-                opt.faults.seed =
-                    sweep::parseU64(value(), "--fault-seed");
-            } else if (arg == "--log-json") {
-                log_json_path = value();
-            } else if (arg == "--worker-id") {
-                worker_id = value();
-            } else if (arg == "--quiet") {
-                setLogLevel(LogLevel::Quiet);
-            } else {
-                std::fprintf(stderr,
-                             "imo-worker: unknown option '%s'\n",
-                             arg.c_str());
-                return usage();
-            }
+    while (args.next()) {
+        if (args.is("--coordinator")) {
+            parseCoordinatorSpec(args.value(), opt);
+        } else if (args.is("--token")) {
+            opt.token = args.value();
+        } else if (args.is("--heartbeat-ms")) {
+            opt.heartbeatMs = args.u64();
+        } else if (args.is("--retries")) {
+            opt.maxRetries = static_cast<unsigned>(args.u64(1'000'000));
+        } else if (args.is("--backoff-base-ms")) {
+            opt.backoffBaseMs = args.u64();
+        } else if (args.is("--backoff-cap-ms")) {
+            opt.backoffCapMs = args.u64();
+        } else if (args.is("--connect-timeout-ms")) {
+            opt.connectTimeoutMs = args.u64();
+        } else if (args.is("--fault")) {
+            const std::string spec = args.value();
+            if (!parseFaultSpec(spec, opt.faults))
+                throw cli::UsageError("bad --fault spec '" + spec +
+                                      "' (want name=prob)");
+        } else if (args.is("--fault-seed")) {
+            opt.faults.seed = args.u64();
+        } else if (args.is("--log-json")) {
+            log_json_path = args.value();
+        } else if (args.is("--worker-id")) {
+            worker_id = args.value();
+        } else if (args.is("--quiet")) {
+            setLogLevel(LogLevel::Quiet);
+        } else {
+            args.unknown();
         }
-        sim_throw_if(opt.port == 0, ErrCode::BadConfig,
-                     "imo-worker: --coordinator HOST:PORT is required");
-    } catch (const SimException &e) {
-        std::fprintf(stderr, "imo-worker: error [%s] %s\n",
-                     errCodeName(e.code()),
-                     e.error().message.c_str());
-        return kExitBadInput;
     }
+    sim_throw_if(opt.port == 0, ErrCode::BadConfig,
+                 "--coordinator HOST:PORT is required");
 
-    {
-        struct sigaction sa{};
-        sa.sa_handler = onStopSignal;
-        sa.sa_flags = SA_RESETHAND;
-        ::sigaction(SIGINT, &sa, nullptr);
-        ::sigaction(SIGTERM, &sa, nullptr);
-    }
+    const volatile std::sig_atomic_t *stop = cli::installStopHandlers();
 
     // Structured session log: one JSON object per line, appended (a
     // reconnecting daemon keeps one continuous log), joinable with the
@@ -211,21 +150,16 @@ main(int argc, char **argv)
         if (worker_id.empty())
             worker_id = "worker-" + std::to_string(::getpid());
         log_json.open(log_json_path, std::ios::app);
-        if (!log_json) {
-            std::fprintf(stderr,
-                         "imo-worker: cannot open --log-json '%s'\n",
-                         log_json_path.c_str());
-            return kExitBadInput;
-        }
+        sim_throw_if(!log_json, ErrCode::BadConfig,
+                     "cannot open --log-json '%s'",
+                     log_json_path.c_str());
         opt.onEvent = [&](const farm::SessionEvent &ev) {
             const std::uint64_t ts = static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::system_clock::now()
-                        .time_since_epoch())
+                    std::chrono::system_clock::now().time_since_epoch())
                     .count());
             log_json << "{\"ts_ms\":" << ts << ",\"worker\":\""
-                     << stats::jsonEscape(worker_id)
-                     << "\",\"run_id\":\""
+                     << stats::jsonEscape(worker_id) << "\",\"run_id\":\""
                      << stats::jsonEscape(ev.runId) << "\",\"event\":\""
                      << stats::jsonEscape(ev.name) << "\",\"slot\":"
                      << ev.slot;
@@ -236,21 +170,19 @@ main(int argc, char **argv)
         };
     }
 
-    const SimError err = farm::runWorker(opt, &g_stop);
+    const SimError err = farm::runWorker(opt, stop);
     if (err.ok()) {
         inform("imo-worker: shut down cleanly");
         return 0;
     }
-    std::fprintf(stderr, "imo-worker: error [%s] %s\n",
-                 errCodeName(err.code), err.message.c_str());
-    for (const std::string &note : err.context)
-        std::fprintf(stderr, "    %s\n", note.c_str());
-    switch (err.code) {
-      case ErrCode::BadConfig:
-        return kExitBadInput;
-      case ErrCode::Interrupted:
-        return kExitInterrupted;
-      default:
-        return kExitFailure;
-    }
+    throw SimException(err);
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    cli::Args args(argc, argv);
+    return cli::run("imo-worker", usage, [&] { return runTool(args); });
 }
